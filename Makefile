@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-hot cover cover-check bench bench-capture bench-diff bench-gate doc-check fuzz fuzz-sim fuzz-broker results examples clean verify lint fmt-check serve-smoke stream-smoke slo
+.PHONY: all build vet test riskperf-check race race-hot cover cover-check bench bench-capture bench-diff bench-gate doc-check fuzz fuzz-sim fuzz-broker results examples clean verify lint fmt-check serve-smoke stream-smoke slo
 
 all: build vet test
 
@@ -43,10 +43,16 @@ lint:
 doc-check:
 	$(GO) run ./cmd/doccheck
 
-# CI gate: formatting, vet, repolint, documentation invariants, the full
-# test suite under the race detector, and a shuffled pass to catch
-# inter-test order dependence.
-verify: fmt-check vet lint doc-check
+# The benchmark (riskperf/) is a module of its own, so the root ./...
+# skips it: vet and test it from its directory, so that an API change
+# which breaks the benchmark's build fails the gate.
+riskperf-check:
+	cd riskperf && $(GO) vet ./... && $(GO) test ./...
+
+# CI gate: formatting, vet, repolint, documentation invariants, the
+# benchmark module's vet and tests, the full test suite under the race
+# detector, and a shuffled pass to catch inter-test order dependence.
+verify: fmt-check vet lint doc-check riskperf-check
 	$(GO) test -race ./...
 	$(GO) test -shuffle=on ./...
 
@@ -91,7 +97,7 @@ OUT ?= BENCH_local.json
 bench-capture:
 	$(GO) run ./cmd/benchjson -config short -suite -out $(OUT)
 
-OLD ?= BENCH_PR10.json
+OLD ?= BENCH_PR13.json
 NEW ?= BENCH_local.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)

@@ -166,6 +166,7 @@ func probeTimeSharedChurn(b *testing.B) {
 	ts := cluster.NewTimeShared(e, nodes)
 	var g lcg = 3
 	started := 0
+	var cand []int
 	for i := 0; i < b.N; i++ {
 		id := i + 1
 		at := float64(i) * 2
@@ -174,7 +175,7 @@ func probeTimeSharedChurn(b *testing.B) {
 		share := 0.1 + g.float()*0.4
 		deadline := runtime * (0.8 + g.float()) // ~20% lapse before completing
 		e.MustSchedule(sim.Time(at), "probe submit", func() {
-			cand := ts.CandidateNodes(share)
+			cand = ts.CandidateNodes(cand[:0], share)
 			if len(cand) < procs {
 				return
 			}

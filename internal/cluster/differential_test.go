@@ -16,15 +16,27 @@ import (
 // references in reference_test.go are driven through identical randomized
 // scenarios — submissions, lapses, node failures and repairs at both fault
 // intensities — and every observable (settlement times, fail victims,
-// availability answers, rates, utilization) is journaled with full float64
-// bit patterns. The journals must be identical entry for entry: the
-// optimizations claim exactness, not approximation.
+// availability answers, rates, overrun signals, utilization) is journaled
+// with full float64 bit patterns. The journals must be identical entry for
+// entry: the optimizations claim exactness, not approximation.
 
 const (
-	diffNodes   = 16
 	diffJobs    = 100
 	diffHorizon = 4000.0
 	diffSeeds   = 30
+)
+
+// diffShape sizes a scenario's machine and its widest job.
+type diffShape struct {
+	name            string
+	nodes, maxProcs int
+}
+
+var (
+	diffNarrow = diffShape{name: "narrow", nodes: 16, maxProcs: 3}
+	// diffWide spreads jobs up to 16 nodes wide over 64: one event dirties
+	// many nodes at once and the best-fit order moves in long runs.
+	diffWide = diffShape{name: "wide", nodes: 64, maxProcs: 16}
 )
 
 // fbits canonicalizes a float for the journal: bit pattern, not rounded
@@ -43,10 +55,10 @@ type diffScenario struct {
 // newDiffScenario draws one scenario. Odd seeds get a heterogeneous
 // machine, exercising the rating-aware paths (fastest-first allocation,
 // slowest-node rates).
-func newDiffScenario(t *testing.T, seed int64, intensity faults.Intensity) diffScenario {
+func newDiffScenario(t *testing.T, shape diffShape, seed int64, intensity faults.Intensity) diffScenario {
 	t.Helper()
 	rng := stats.NewRand(seed)
-	sc := diffScenario{ratings: make([]float64, diffNodes)}
+	sc := diffScenario{ratings: make([]float64, shape.nodes)}
 	for i := range sc.ratings {
 		if seed%2 == 1 {
 			sc.ratings[i] = 0.5 + rng.Float64()
@@ -62,7 +74,7 @@ func newDiffScenario(t *testing.T, seed int64, intensity faults.Intensity) diffS
 			Submit:   rng.Float64() * diffHorizon * 0.6,
 			Runtime:  runtime,
 			Estimate: estimate,
-			Procs:    1 + rng.Intn(3),
+			Procs:    1 + rng.Intn(shape.maxProcs),
 		}
 		share := 0.1 + 0.5*rng.Float64()
 		if rng.Intn(5) > 0 {
@@ -95,7 +107,7 @@ func newDiffScenario(t *testing.T, seed int64, intensity faults.Intensity) diffS
 	sc.jobs, sc.shares = jobs, shares
 
 	cfg := intensity.Config(seed, diffHorizon)
-	events, err := faults.Generate(cfg, diffNodes)
+	events, err := faults.Generate(cfg, shape.nodes)
 	if err != nil {
 		t.Fatalf("seed %d: fault generation: %v", seed, err)
 	}
@@ -105,7 +117,8 @@ func newDiffScenario(t *testing.T, seed int64, intensity faults.Intensity) diffS
 
 // tsImpl is the surface the time-shared differential driver exercises.
 type tsImpl interface {
-	CandidateNodes(share float64) []int
+	CandidateNodes(dst []int, share float64) []int
+	NodeHasOverrun(i int) bool
 	Start(j *workload.Job, share float64, nodes []int, done func(*workload.Job)) error
 	Fail(i int) []*workload.Job
 	Repair(i int)
@@ -136,10 +149,23 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 	rec := func(format string, args ...any) {
 		journal = append(journal, fmt.Sprintf(format, args...))
 	}
+	// overruns renders NodeHasOverrun for each of the given nodes.
+	overruns := func(nodes []int) string {
+		b := make([]byte, len(nodes))
+		for k, n := range nodes {
+			b[k] = '0'
+			if impl.NodeHasOverrun(n) {
+				b[k] = '1'
+			}
+		}
+		return string(b)
+	}
+	var cand []int // reused: CandidateNodes must not depend on dst's contents
 	for i, j := range sc.jobs {
 		j, share := j, sc.shares[i]
 		e.MustSchedule(sim.Time(j.Submit), "diff submit", func() {
-			cand := impl.CandidateNodes(share)
+			cand = impl.CandidateNodes(cand[:0], share)
+			rec("submit %d overrun=%s", j.ID, overruns(cand))
 			if len(cand) < j.Procs {
 				rec("reject %d cand=%v", j.ID, cand)
 				return
@@ -171,13 +197,18 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 			})
 		}
 	}
+	all := make([]int, len(sc.ratings))
+	for i := range all {
+		all[i] = i
+	}
 	for k := 1; k <= 10; k++ {
 		at := diffHorizon * float64(k) / 10
 		e.MustSchedule(sim.Time(at), "diff probe", func() {
-			for i := 0; i < diffNodes; i++ {
+			for _, i := range all {
 				rec("free %d %s committed %s", i,
 					fbits(impl.FreeShare(i)), fbits(impl.CommittedSeconds(i, 500)))
 			}
+			rec("overrun %s", overruns(all))
 			rec("util %s", fbits(impl.Utilization()))
 			for _, j := range sc.jobs {
 				if rate, prog, lapsed, ok := impl.JobState(j); ok {
@@ -226,7 +257,7 @@ func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engin
 			if !impl.CanStart(j.Procs) {
 				// The backfilling question a queued job asks: when could I
 				// reserve, and how much is free then?
-				availability(fmt.Sprintf("defer %d", j.ID), 1, j.Procs, diffNodes)
+				availability(fmt.Sprintf("defer %d", j.ID), 1, j.Procs, len(sc.ratings))
 				return
 			}
 			rec("start %d free=%d", j.ID, impl.FreeProcs())
@@ -259,8 +290,8 @@ func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engin
 		at := diffHorizon * float64(k) / 10
 		e.MustSchedule(sim.Time(at), "diff probe", func() {
 			rec("probe free=%d util=%s", impl.FreeProcs(), fbits(impl.Utilization()))
-			widths := make([]int, diffNodes)
-			for w := 1; w <= diffNodes; w++ {
+			widths := make([]int, len(sc.ratings))
+			for w := 1; w <= len(sc.ratings); w++ {
 				widths[w-1] = w
 			}
 			availability("probe", widths...)
@@ -295,18 +326,21 @@ func compareJournals(t *testing.T, label string, got, want []string) {
 
 // TestTimeSharedMatchesReferenceAcrossSeeds drives the optimized TimeShared
 // and the naive full-recompute reference through 30 seeds at both fault
-// intensities and requires bit-identical journals.
+// intensities, on the narrow and the wide machine, and requires
+// bit-identical journals.
 func TestTimeSharedMatchesReferenceAcrossSeeds(t *testing.T) {
-	for _, intensity := range []faults.Intensity{faults.Low, faults.High} {
-		for seed := int64(0); seed < diffSeeds; seed++ {
-			sc := newDiffScenario(t, seed, intensity)
-			opt := runTimeSharedScenario(t, sc, func(e *sim.Engine) tsImpl {
-				return realTS{NewTimeSharedRated(e, sc.ratings)}
-			})
-			ref := runTimeSharedScenario(t, sc, func(e *sim.Engine) tsImpl {
-				return newRefTimeShared(e, sc.ratings)
-			})
-			compareJournals(t, fmt.Sprintf("timeshared seed=%d intensity=%s", seed, intensity), opt, ref)
+	for _, shape := range []diffShape{diffNarrow, diffWide} {
+		for _, intensity := range []faults.Intensity{faults.Low, faults.High} {
+			for seed := int64(0); seed < diffSeeds; seed++ {
+				sc := newDiffScenario(t, shape, seed, intensity)
+				opt := runTimeSharedScenario(t, sc, func(e *sim.Engine) tsImpl {
+					return realTS{NewTimeSharedRated(e, sc.ratings)}
+				})
+				ref := runTimeSharedScenario(t, sc, func(e *sim.Engine) tsImpl {
+					return newRefTimeShared(e, sc.ratings)
+				})
+				compareJournals(t, fmt.Sprintf("timeshared %s seed=%d intensity=%s", shape.name, seed, intensity), opt, ref)
+			}
 		}
 	}
 }
@@ -317,7 +351,7 @@ func TestTimeSharedMatchesReferenceAcrossSeeds(t *testing.T) {
 func TestSpaceSharedMatchesReferenceAcrossSeeds(t *testing.T) {
 	for _, intensity := range []faults.Intensity{faults.Low, faults.High} {
 		for seed := int64(0); seed < diffSeeds; seed++ {
-			sc := newDiffScenario(t, seed, intensity)
+			sc := newDiffScenario(t, diffNarrow, seed, intensity)
 			opt := runSpaceSharedScenario(t, sc, func(e *sim.Engine) ssImpl {
 				return NewSpaceSharedRated(e, sc.ratings)
 			})

@@ -174,7 +174,7 @@ func TestTimeSharedFaultInvariantsAcrossSeeds(t *testing.T) {
 			share := 0.2 + rng.Float64()*0.5
 			e.MustSchedule(at, "submit", func() {
 				j := job(id, procs, runtime, runtime)
-				cand := c.CandidateNodes(share)
+				cand := c.CandidateNodes(nil, share)
 				if len(cand) < j.Procs {
 					return
 				}
@@ -308,7 +308,7 @@ func TestTimeSharedFailRepairEdges(t *testing.T) {
 	if c.FreeShare(0) != 0 {
 		t.Fatalf("down node advertises share %v", c.FreeShare(0))
 	}
-	for _, n := range c.CandidateNodes(0.1) {
+	for _, n := range c.CandidateNodes(nil, 0.1) {
 		if n == 0 {
 			t.Fatal("down node offered as candidate")
 		}

@@ -120,7 +120,7 @@ func TestLapseConservation(t *testing.T) {
 		runtime := float64(50 * i)
 		deadline := 120.0 // some lapse, some don't
 		j := djob(i, 1, 0, runtime, 40, deadline)
-		nodes := c.CandidateNodes(0.3)
+		nodes := c.CandidateNodes(nil, 0.3)
 		if len(nodes) < 1 {
 			t.Fatal("no candidate nodes")
 		}

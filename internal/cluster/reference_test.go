@@ -68,7 +68,7 @@ func (t *refTimeShared) FreeShare(i int) float64 {
 	return 1 - t.booked[i]
 }
 
-func (t *refTimeShared) CandidateNodes(share float64) []int {
+func (t *refTimeShared) CandidateNodes(dst []int, share float64) []int {
 	var idx []int
 	for i := range t.ratings {
 		if t.down[i] {
@@ -85,7 +85,7 @@ func (t *refTimeShared) CandidateNodes(share float64) []int {
 		}
 		return idx[a] < idx[b]
 	})
-	return idx
+	return append(dst, idx...)
 }
 
 func (t *refTimeShared) CommittedSeconds(i int, horizon float64) float64 {
@@ -106,7 +106,8 @@ func (t *refTimeShared) CommittedSeconds(i int, horizon float64) float64 {
 			}
 		}
 	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].job.ID < jobs[b].job.ID })
+	// Stable: equal IDs keep start order, the tie-break TimeShared promises.
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].job.ID < jobs[b].job.ID })
 	total := 0.0
 	for _, tj := range jobs {
 		end := tj.job.AbsDeadline()
@@ -117,6 +118,20 @@ func (t *refTimeShared) CommittedSeconds(i int, horizon float64) float64 {
 		total += tj.share * dur
 	}
 	return total
+}
+
+// NodeHasOverrun scans every running job for one on node i that has
+// executed past its estimate.
+func (t *refTimeShared) NodeHasOverrun(i int) bool {
+	t.advance()
+	for _, tj := range t.order {
+		for _, n := range tj.nodes {
+			if n == i && tj.progress >= tj.job.Estimate-workEps {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (t *refTimeShared) Start(j *workload.Job, share float64, nodes []int, done func(*workload.Job)) error {

@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -41,6 +42,8 @@ type TSJob struct {
 	lapsed    bool    // booking expired before completion
 	lapseEv   sim.Event
 	done      func(*workload.Job)
+	seq       uint64 // start sequence: orders equal job IDs on a node
+	visited   uint64 // stamp of the last recompute that refreshed the rate
 }
 
 // Progress returns the actual work completed so far, in processor-seconds
@@ -95,7 +98,12 @@ type tsNode struct {
 	// would yield the bitwise-identical float, so skipping is exact, not
 	// approximate.
 	dirty bool
-	jobs  map[*TSJob]struct{}
+	// jobs lists the node's running jobs in (job ID, start sequence) order,
+	// the order CommittedSeconds sums in: float addition is not
+	// associative, so a quoted price must not depend on insertion history.
+	jobs []*TSJob
+	// stamp lets Start detect a node listed twice without a set.
+	stamp uint64
 }
 
 func (n *tsNode) totalWeight() float64 { return n.booked + n.lapsedWeight }
@@ -127,6 +135,18 @@ type TimeShared struct {
 	// dirtyNodes lists the nodes currently marked dirty, so recompute can
 	// clear the flags without scanning the whole machine.
 	dirtyNodes []int
+	// fit lists every node, up or down, sorted by (1 − booked, index): the
+	// best-fit order CandidateNodes reads. recompute re-places the dirty
+	// nodes, the only ones whose booking can have changed. down is not part
+	// of the key because Fail and Repair flip it without a recompute.
+	fit []int
+	// seq numbers Starts; stamp hands out fresh visit stamps.
+	seq, stamp uint64
+	// finished is onCompletion's reusable retire list.
+	finished []*TSJob
+	// complete is onCompletion as a handler, bound once rather than per
+	// reschedule.
+	complete sim.Handler
 
 	// busyIntegral accumulates useful processor work (Σ rate·width over
 	// time) for Utilization. Capacity allocated on a fast node but idled
@@ -161,14 +181,16 @@ func NewTimeSharedRated(engine *sim.Engine, ratings []float64) *TimeShared {
 		engine:  engine,
 		nodes:   make([]tsNode, len(ratings)),
 		running: make(map[*workload.Job]*TSJob),
+		fit:     make([]int, len(ratings)),
 	}
 	for i, r := range ratings {
 		if r <= 0 {
 			panic(fmt.Sprintf("cluster: non-positive rating %v for node %d", r, i))
 		}
 		ts.nodes[i].rating = r
-		ts.nodes[i].jobs = make(map[*TSJob]struct{})
+		ts.fit[i] = i // all free: index order
 	}
+	ts.complete = ts.onCompletion
 	return ts
 }
 
@@ -211,61 +233,66 @@ func (t *TimeShared) Load(i int) float64 { return t.nodes[i].booked }
 // NodeHasOverrun reports whether any job on node i has exceeded its
 // estimate (and is therefore holding capacity for an unknown further
 // time).
+//
+//lint:hot
 func (t *TimeShared) NodeHasOverrun(i int) bool {
 	t.advance()
-	for j := range t.nodes[i].jobs { //lint:allow maporder — existence check; the result is order-independent
-		if j.Overrun() {
+	for _, tj := range t.nodes[i].jobs {
+		if tj.Overrun() {
 			return true
 		}
 	}
 	return false
 }
 
-// CandidateNodes returns the indices of nodes with at least the given free
-// share, sorted best-fit first (least remaining free share, then index) —
-// Libra saturates nodes to their maximum.
-func (t *TimeShared) CandidateNodes(share float64) []int {
-	var idx []int
-	for i := range t.nodes {
-		if t.nodes[i].down {
-			continue // a failed node can host nothing, however small the share
-		}
-		if t.FreeShare(i)+workEps >= share {
-			idx = append(idx, i)
+// CandidateNodes appends to dst the indices of up nodes with at least the
+// given free share, best-fit first (least remaining free share, then
+// index) — Libra saturates nodes to their maximum — and returns the
+// extended slice. The result never aliases the cluster's own state, so
+// callers may filter it in place.
+//
+// Free share ascends along the maintained fit order, and x+workEps >= share
+// is monotone in x, so the candidates are a suffix of it: a binary search
+// finds where it starts. The search reads the fit key 1 − booked rather
+// than FreeShare, which answers 0 for the down nodes the order still holds.
+//
+//lint:hot
+func (t *TimeShared) CandidateNodes(dst []int, share float64) []int {
+	lo, hi := 0, len(t.fit)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if 1-t.nodes[t.fit[mid]].booked+workEps >= share {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		fa, fb := t.FreeShare(idx[a]), t.FreeShare(idx[b])
-		if fa != fb {
-			return fa < fb
+	for _, i := range t.fit[lo:] {
+		if !t.nodes[i].down { // a failed node can host nothing, however small the share
+			dst = append(dst, i) //lint:allow hotalloc — grows the caller's buffer only until it holds the machine
 		}
-		return idx[a] < idx[b]
-	})
-	return idx
+	}
+	return dst
 }
 
 // CommittedSeconds returns the processor-seconds booked on node i over the
 // window [now, now+horizon): each active booking lasts until its job's
 // absolute deadline. Lapsed jobs contribute nothing — their booking has
 // expired even though they still execute. Libra+$'s RESFree is derived
-// from this.
+// from this. Bookings are summed in (job ID, start sequence) order.
+//
+//lint:hot
 func (t *TimeShared) CommittedSeconds(i int, horizon float64) float64 {
 	if horizon <= 0 {
 		return 0
 	}
 	t.advance()
 	now := float64(t.engine.Now())
-	// Sum in job-ID order: float addition is not associative, and map
-	// iteration order would otherwise make quoted prices depend on it.
-	jobs := make([]*TSJob, 0, len(t.nodes[i].jobs))
-	for tj := range t.nodes[i].jobs { //lint:allow maporder — collected jobs are sorted by ID immediately below
-		if !tj.lapsed {
-			jobs = append(jobs, tj)
-		}
-	}
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].Job.ID < jobs[b].Job.ID })
 	total := 0.0
-	for _, tj := range jobs {
+	for _, tj := range t.nodes[i].jobs {
+		if tj.lapsed {
+			continue
+		}
 		end := tj.Job.AbsDeadline()
 		if tj.Job.Deadline <= 0 { // no deadline: booked until completion
 			end = now + tj.remaining/math.Max(tj.rate, tj.Share)
@@ -286,15 +313,15 @@ func (t *TimeShared) Start(j *workload.Job, share float64, nodes []int, done fun
 	if len(nodes) != j.Procs {
 		return fmt.Errorf("cluster: job %d needs %d nodes, given %d", j.ID, j.Procs, len(nodes))
 	}
-	seen := make(map[int]bool, len(nodes))
+	t.stamp++
 	for _, n := range nodes {
 		if n < 0 || n >= len(t.nodes) {
 			return fmt.Errorf("cluster: job %d: node index %d out of range", j.ID, n)
 		}
-		if seen[n] {
+		if t.nodes[n].stamp == t.stamp {
 			return fmt.Errorf("cluster: job %d: node %d allocated twice", j.ID, n)
 		}
-		seen[n] = true
+		t.nodes[n].stamp = t.stamp
 		if t.FreeShare(n)+workEps < share {
 			return fmt.Errorf("cluster: job %d: node %d has free share %v < %v", j.ID, n, t.FreeShare(n), share)
 		}
@@ -303,6 +330,7 @@ func (t *TimeShared) Start(j *workload.Job, share float64, nodes []int, done fun
 		return fmt.Errorf("cluster: job %d already running", j.ID)
 	}
 	t.advance()
+	t.seq++
 	tj := &TSJob{
 		Job:       j,
 		Share:     share,
@@ -310,10 +338,11 @@ func (t *TimeShared) Start(j *workload.Job, share float64, nodes []int, done fun
 		Start:     t.engine.Now(),
 		remaining: j.Runtime,
 		done:      done,
+		seq:       t.seq,
 	}
 	for _, n := range nodes {
 		t.nodes[n].booked = math.Min(1, t.nodes[n].booked+share)
-		t.nodes[n].jobs[tj] = struct{}{}
+		t.nodes[n].jobs = slices.Insert(t.nodes[n].jobs, jobPos(t.nodes[n].jobs, tj), tj)
 	}
 	t.running[j] = tj
 	t.order = append(t.order, tj)
@@ -404,7 +433,7 @@ func (t *TimeShared) Kill(j *workload.Job) error {
 				t.nodes[n].booked = 0
 			}
 		}
-		delete(t.nodes[n].jobs, tj)
+		t.nodes[n].removeJob(tj)
 	}
 	t.markDirty(tj.Nodes)
 	t.recompute()
@@ -424,15 +453,9 @@ func (t *TimeShared) Fail(i int) []*workload.Job {
 		panic(fmt.Sprintf("cluster: node %d failed twice without repair", i))
 	}
 	var victims []*workload.Job
-	for _, tj := range t.order { // start order: deterministic iteration
-		for _, n := range tj.Nodes {
-			if n == i {
-				victims = append(victims, tj.Job)
-				break
-			}
-		}
+	for _, tj := range t.nodes[i].jobs { // (ID, start sequence) order
+		victims = append(victims, tj.Job)
 	}
-	sort.Slice(victims, func(a, b int) bool { return victims[a].ID < victims[b].ID })
 	for _, j := range victims {
 		if err := t.Kill(j); err != nil {
 			panic(err) // victims were just read from the running set
@@ -486,48 +509,36 @@ func (t *TimeShared) markDirty(nodes []int) {
 	for _, n := range nodes {
 		if !t.nodes[n].dirty {
 			t.nodes[n].dirty = true
-			t.dirtyNodes = append(t.dirtyNodes, n)
+			t.dirtyNodes = append(t.dirtyNodes, n) //lint:allow hotalloc — reused buffer, grows only until it holds the machine
 		}
 	}
 }
 
-// recompute refreshes the execution rate of every job touching a dirty node
-// and reschedules the next completion event. Callers must advance() first.
+// recompute refreshes the execution rate of every job on a dirty node,
+// re-places the dirty nodes in the best-fit order, and reschedules the next
+// completion event. Callers must advance() first.
 //
 // Jobs entirely on clean nodes are skipped: their rate inputs (own weight,
 // node total weights, ratings) are unchanged, so the recomputed value would
-// be bitwise identical — the skip is exact. The completion event is always
-// cancelled and rescheduled, even when the soonest eta is unchanged, so the
-// kernel's event sequence numbers (and therefore same-time tie-breaking)
-// match a full recompute step for step.
+// be bitwise identical — the skip is exact. A job's rate depends only on its
+// own nodes, so neither the order in which the dirty nodes' lists are
+// visited nor the stamp that refreshes a job only once changes a rate. The
+// completion event is always cancelled and rescheduled, even when the
+// soonest eta is unchanged, so the kernel's event sequence numbers (and
+// therefore same-time tie-breaking) match a full recompute step for step.
+//
+//lint:hot
 func (t *TimeShared) recompute() {
-	for _, tj := range t.order {
-		needs := false
-		for _, n := range tj.Nodes {
-			if t.nodes[n].dirty {
-				needs = true
-				break
+	t.stamp++
+	for _, n := range t.dirtyNodes {
+		for _, tj := range t.nodes[n].jobs {
+			if tj.visited != t.stamp {
+				tj.visited = t.stamp
+				t.refreshRate(tj)
 			}
 		}
-		if !needs {
-			continue
-		}
-		w := tj.weight()
-		rate := math.Inf(1)
-		for _, n := range tj.Nodes {
-			total := t.nodes[n].totalWeight()
-			frac := 1.0
-			if total > w {
-				frac = w / total
-			}
-			// The node delivers its weighted slice at its own speed; a
-			// parallel job advances at its slowest node.
-			if r := frac * t.nodes[n].rating; r < rate {
-				rate = r
-			}
-		}
-		tj.rate = rate
 	}
+	t.refit()
 	for _, n := range t.dirtyNodes {
 		t.nodes[n].dirty = false
 	}
@@ -544,24 +555,98 @@ func (t *TimeShared) recompute() {
 			soonest = eta
 		}
 	}
-	t.next = t.engine.MustSchedule(soonest, "timeshared completion", t.onCompletion)
+	t.next = t.engine.MustSchedule(soonest, "timeshared completion", t.complete)
+}
+
+// refreshRate sets tj's execution rate from its weight and its nodes'
+// current total weights and ratings.
+func (t *TimeShared) refreshRate(tj *TSJob) {
+	w := tj.weight()
+	rate := math.Inf(1)
+	for _, n := range tj.Nodes {
+		total := t.nodes[n].totalWeight()
+		frac := 1.0
+		if total > w {
+			frac = w / total
+		}
+		// The node delivers its weighted slice at its own speed; a
+		// parallel job advances at its slowest node.
+		if r := frac * t.nodes[n].rating; r < rate {
+			rate = r
+		}
+	}
+	tj.rate = rate
+}
+
+// refit restores the fit order after the dirty nodes' bookings changed:
+// it drops every dirty node, then binary-inserts each at its new key. The
+// key is the exact float 1 − booked that FreeShare returns, not booked
+// itself: two different bookings can round to the same free share, and
+// those must tie on index.
+func (t *TimeShared) refit() {
+	kept := t.fit[:0]
+	for _, i := range t.fit {
+		if !t.nodes[i].dirty {
+			kept = append(kept, i) //lint:allow hotalloc — in-place filter; never outgrows fit
+		}
+	}
+	for _, i := range t.dirtyNodes {
+		free := 1 - t.nodes[i].booked
+		lo, hi := 0, len(kept)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			f := 1 - t.nodes[kept[mid]].booked
+			if f < free || (f == free && kept[mid] < i) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		kept = kept[:len(kept)+1] // fit's capacity is the machine size
+		copy(kept[lo+1:], kept[lo:])
+		kept[lo] = i
+	}
+	t.fit = kept
+}
+
+// jobPos returns where tj belongs in a node's (job ID, start sequence)
+// ordered job list.
+func jobPos(jobs []*TSJob, tj *TSJob) int {
+	pos, _ := slices.BinarySearchFunc(jobs, tj, byIDThenSeq)
+	return pos
+}
+
+func byID(a, b *TSJob) int { return cmp.Compare(a.Job.ID, b.Job.ID) }
+
+func byIDThenSeq(a, b *TSJob) int {
+	if c := byID(a, b); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// removeJob drops tj from the node's job list.
+func (n *tsNode) removeJob(tj *TSJob) {
+	if k := jobPos(n.jobs, tj); k < len(n.jobs) && n.jobs[k] == tj {
+		n.jobs = slices.Delete(n.jobs, k, k+1)
+	}
 }
 
 // onCompletion retires every job whose work is done, then reschedules.
 func (t *TimeShared) onCompletion() {
 	t.next = sim.Event{}
 	t.advance()
-	var finished []*TSJob
+	finished := t.finished[:0]
 	kept := t.order[:0]
 	for _, tj := range t.order {
 		if tj.remaining <= workEps {
-			finished = append(finished, tj)
+			finished = append(finished, tj) //lint:allow hotalloc — reused buffer, grows only until it holds the largest retire batch
 			continue
 		}
-		kept = append(kept, tj)
+		kept = append(kept, tj) //lint:allow hotalloc — in-place filter; never outgrows order
 	}
 	t.order = kept
-	sort.Slice(finished, func(i, k int) bool { return finished[i].Job.ID < finished[k].Job.ID })
+	slices.SortStableFunc(finished, byID)
 	for _, tj := range finished {
 		delete(t.running, tj.Job)
 		t.engine.Cancel(tj.lapseEv)
@@ -579,7 +664,7 @@ func (t *TimeShared) onCompletion() {
 					t.nodes[n].booked = 0
 				}
 			}
-			delete(t.nodes[n].jobs, tj)
+			t.nodes[n].removeJob(tj)
 		}
 	}
 	t.recompute()
@@ -588,4 +673,6 @@ func (t *TimeShared) onCompletion() {
 			tj.done(tj.Job)
 		}
 	}
+	clear(finished)
+	t.finished = finished[:0]
 }

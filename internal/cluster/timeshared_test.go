@@ -157,12 +157,12 @@ func TestTimeSharedCandidateNodesBestFit(t *testing.T) {
 	if err := c.Start(job(2, 1, 1000, 1000), 0.2, []int{1}, nil); err != nil {
 		t.Fatal(err)
 	}
-	got := c.CandidateNodes(0.3)
+	got := c.CandidateNodes(nil, 0.3)
 	// Node 0 has 0.4 free, node 1 has 0.8, node 2 has 1.0. Best fit: 0,1,2.
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("CandidateNodes(0.3) = %v, want [0 1 2]", got)
 	}
-	got = c.CandidateNodes(0.5)
+	got = c.CandidateNodes(nil, 0.5)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("CandidateNodes(0.5) = %v, want [1 2]", got)
 	}
@@ -220,7 +220,7 @@ func TestTimeSharedGuaranteeProperty(t *testing.T) {
 				share := 0.1 + rng.Float64()*0.4
 				procs := 1 + rng.Intn(2)
 				j := job(id, procs, runtime, runtime)
-				nodes := c.CandidateNodes(share)
+				nodes := c.CandidateNodes(nil, share)
 				if len(nodes) < procs {
 					return
 				}
@@ -267,7 +267,7 @@ func TestTimeSharedConservationProperty(t *testing.T) {
 			e.MustSchedule(at, "submit", func() {
 				share := 0.05 + rng.Float64()*0.5
 				procs := 1 + rng.Intn(4)
-				nodes := c.CandidateNodes(share)
+				nodes := c.CandidateNodes(nil, share)
 				if len(nodes) < procs {
 					return
 				}
@@ -390,5 +390,66 @@ func TestNewTimeSharedRatedPanics(t *testing.T) {
 			}()
 			NewTimeSharedRated(sim.NewEngine(), ratings)
 		})
+	}
+}
+
+// Job IDs need not be unique (the service accepts client-supplied IDs), so
+// CommittedSeconds breaks ID ties by start order. The two bookings under ID
+// 2 sum to different bits in the two orders; every call must return the
+// start-order sum.
+func TestCommittedSecondsDuplicateIDsOneBitPattern(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewTimeShared(e, 1)
+	ids := []int{1, 2, 2}
+	shares := []float64{0.05, 0.05, 0.2}
+	deadlines := []float64{607.9, 629.5, 74.9}
+	for k := range ids {
+		if err := c.Start(djob(ids[k], 1, 0, 1e6, 1e6, deadlines[k]), shares[k], []int{0}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := func(order ...int) float64 {
+		total := 0.0
+		for _, k := range order {
+			total += shares[k] * deadlines[k]
+		}
+		return total
+	}
+	want, swapped := sum(0, 1, 2), sum(0, 2, 1)
+	if math.Float64bits(want) == math.Float64bits(swapped) {
+		t.Fatal("fixture is not order-sensitive")
+	}
+	for call := 0; call < 200; call++ {
+		if got := c.CommittedSeconds(0, 1000); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: CommittedSeconds = %x, want %x (start order)", call,
+				math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
+// The admission queries run once per submitted job (and once per selected
+// node); at steady state they allocate nothing.
+func TestAdmissionQueriesDoNotAllocate(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewTimeShared(e, 16)
+	for id := 1; id <= 12; id++ {
+		nodes := c.CandidateNodes(nil, 0.2)[:1+id%3]
+		if err := c.Start(djob(id, len(nodes), 0, 500, 400, 800), 0.2, nodes, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cand []int
+	allocs := testing.AllocsPerRun(100, func() {
+		cand = c.CandidateNodes(cand[:0], 0.3)
+		for _, n := range cand {
+			c.CommittedSeconds(n, 600)
+			c.NodeHasOverrun(n)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CandidateNodes/CommittedSeconds/NodeHasOverrun allocate %v times per call, want 0", allocs)
+	}
+	if len(cand) == 0 {
+		t.Fatal("degenerate fixture: no candidates")
 	}
 }

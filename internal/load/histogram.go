@@ -65,9 +65,10 @@ func (h *Histogram) Count() int64 { return h.total.Load() }
 func (h *Histogram) Max() time.Duration { return time.Duration(h.maxNanos.Load()) }
 
 // Quantile returns the upper bound of the bucket holding the q-th
-// observation (0 < q ≤ 1) — a conservative estimate, never below the true
-// quantile by more than the bucket's width. The catch-all last bucket
-// answers with the exact maximum. Zero observations answer zero.
+// observation (0 < q ≤ 1), clamped to the exact maximum — a conservative
+// estimate, never below the true quantile, never above the largest
+// observation. The catch-all last bucket answers with the exact maximum.
+// Zero observations answer zero.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	total := h.total.Load()
 	if total == 0 {
@@ -84,7 +85,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 			if i == bucketCount-1 {
 				return h.Max()
 			}
-			return bucketUpper(i)
+			return min(bucketUpper(i), h.Max())
 		}
 	}
 	return h.Max()

@@ -81,6 +81,27 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
+// A quantile never exceeds the largest observation, even when the max sits
+// low in its bucket: 1.856ms lands in the bucket that reaches ~1.972ms.
+func TestHistogramQuantileAtMostMax(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 500; i++ {
+		h.Record(1200 * time.Microsecond)
+		h.Record(1856 * time.Microsecond)
+	}
+	if upper := bucketUpper(bucketOf(h.Max())); upper <= h.Max() {
+		t.Fatalf("fixture: max %v is its bucket's upper bound %v", h.Max(), upper)
+	}
+	for _, q := range []float64{0.5, 0.99, 0.999, 1} {
+		if got := h.Quantile(q); got > h.Max() {
+			t.Errorf("Quantile(%v) = %v above max %v", q, got, h.Max())
+		}
+	}
+	if got := h.Quantile(1); got != h.Max() {
+		t.Errorf("p100 = %v, want the max %v", got, h.Max())
+	}
+}
+
 func TestSLOCheck(t *testing.T) {
 	res := Result{
 		Requests: 1000, Errors: 0,

@@ -46,6 +46,10 @@ type libraPolicy struct {
 	// completion.
 	charge map[*workload.Job]float64
 
+	// candidates and prices are per-submit scratch buffers.
+	candidates []int
+	prices     []float64
+
 	// terminate enables the preemptive extension: a job still running at
 	// its deadline is killed, freeing capacity (the SLA is already lost).
 	// This addresses the non-preemption issue the paper's conclusion
@@ -153,7 +157,8 @@ func (l *libraPolicy) Quote(j *workload.Job) float64 {
 	if share > 1 {
 		return static
 	}
-	candidates := l.ts.CandidateNodes(share)
+	candidates := l.ts.CandidateNodes(l.candidates[:0], share)
+	l.candidates = candidates
 	if len(candidates) < j.Procs {
 		return static
 	}
@@ -161,15 +166,16 @@ func (l *libraPolicy) Quote(j *workload.Job) float64 {
 }
 
 // dollarPrices computes Libra+$'s per-second price on each selected node
-// for a job holding the given share over its deadline window.
+// for a job holding the given share over its deadline window. The result
+// lives in a buffer the next call overwrites.
 func (l *libraPolicy) dollarPrices(j *workload.Job, share float64, nodes []int) []float64 {
-	prices := make([]float64, len(nodes))
-	for i, n := range nodes {
+	l.prices = l.prices[:0]
+	for _, n := range nodes {
 		committedFrac := l.ts.CommittedSeconds(n, j.Deadline) / j.Deadline
 		freeAfter := 1 - committedFrac - share
-		prices[i] = economy.LibraDollarPricePerSec(l.ctx.BasePrice, l.alpha, l.beta, freeAfter)
+		l.prices = append(l.prices, economy.LibraDollarPricePerSec(l.ctx.BasePrice, l.alpha, l.beta, freeAfter))
 	}
-	return prices
+	return l.prices
 }
 
 func (l *libraPolicy) Submit(j *workload.Job) {
@@ -180,7 +186,8 @@ func (l *libraPolicy) Submit(j *workload.Job) {
 		l.ctx.Collector.Rejected(j)
 		return
 	}
-	candidates := l.ts.CandidateNodes(share)
+	candidates := l.ts.CandidateNodes(l.candidates[:0], share)
+	l.candidates = candidates
 	if l.variant == variantLibraRiskD {
 		riskFree := candidates[:0]
 		for _, n := range candidates {

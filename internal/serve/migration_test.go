@@ -262,6 +262,50 @@ func TestReleaseAndImportContract(t *testing.T) {
 	mustDo(t, hB, http.MethodPost, "/v1/sessions/"+cr.ID+"/finalize", nil, http.StatusOK, nil)
 }
 
+// Job IDs are client-supplied and may repeat. A Libra+$ quote sums the
+// node's bookings, so its bits must not depend on how equal IDs happen to
+// be ordered: released and imported, a session with duplicate IDs replays
+// byte-identical.
+func TestDuplicateJobIDsReplayByteIdentical(t *testing.T) {
+	srvA := New(Config{})
+	hA := srvA.Handler()
+	var cr CreateSessionResponse
+	mustDo(t, hA, http.MethodPost, "/v1/sessions", CreateSessionRequest{Policy: "Libra+$", Model: "commodity", Nodes: 1}, http.StatusCreated, &cr)
+	// Three bookings on the one node, two under ID 2. Summed in the two
+	// orders of the ID-2 pair, their committed seconds give different
+	// quotes for 15 of the 20 probes below.
+	bookings := []struct {
+		id              int
+		share, deadline float64
+	}{{1, 0.29, 377.9}, {2, 0.2, 348.2}, {2, 0.22, 188.7}}
+	for _, b := range bookings {
+		req := SubmitJobRequest{ID: b.id, Runtime: 1e6, Estimate: b.share * b.deadline, Deadline: b.deadline, Budget: 1e9}
+		var sr SubmitJobResponse
+		mustDo(t, hA, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs", req, http.StatusOK, &sr)
+		if sr.Admission != "accepted" {
+			t.Fatalf("booking %+v: admission %q, want accepted", b, sr.Admission)
+		}
+	}
+	// Quotes against those bookings, refused on budget so the node's
+	// bookings stay as they are.
+	for k := 0; k < 20; k++ {
+		req := SubmitJobRequest{ID: 3 + k, Runtime: 1 + 0.25*float64(k), Deadline: 382.9 + 7.3*float64(k), Budget: 1e-9}
+		mustDo(t, hA, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs", req, http.StatusOK, nil)
+	}
+	rel := do(t, hA, http.MethodPost, "/worker/v1/sessions/"+cr.ID+"/release", nil)
+	if rel.Code != http.StatusOK {
+		t.Fatalf("release: status %d: %s", rel.Code, rel.Body)
+	}
+	srvB := New(Config{})
+	if _, err := srvB.ImportSession(rel.Body.Bytes()); err != nil {
+		t.Fatalf("import of a duplicate-ID session: %v", err)
+	}
+	jB := do(t, srvB.Handler(), http.MethodGet, "/v1/sessions/"+cr.ID+"/journal", nil)
+	if !bytes.Equal(jB.Body.Bytes(), rel.Body.Bytes()) {
+		t.Errorf("imported journal differs from the released one:\ngot:\n%s\nwant:\n%s", jB.Body, rel.Body)
+	}
+}
+
 // A draining worker refuses new sessions and imports but keeps serving
 // live ones.
 func TestWorkerDrain(t *testing.T) {
