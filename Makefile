@@ -67,11 +67,11 @@ cover:
 # (worker API, control plane, placement ring, load generator) carries the
 # migration determinism contract and floors at 85%; the streaming risk
 # engine carries the live-vs-offline bit-identity contract and floors at
-# 90%.
+# 90%; the scheduler holds every admission policy and floors at 90%.
 cover-check:
 	@$(GO) test -cover ./internal/faults ./internal/cluster ./internal/broker ./internal/lint \
 		./internal/serve ./internal/serve/control ./internal/serve/ring ./internal/load \
-		./internal/streamrisk | awk ' \
+		./internal/streamrisk ./internal/scheduler | awk ' \
 		{ print } \
 		$$2 ~ /internal\/faults$$/        && $$5+0 < 90 { print "FAIL: internal/faults coverage " $$5 " below 90% floor"; bad=1 } \
 		$$2 ~ /internal\/cluster$$/       && $$5+0 < 95 { print "FAIL: internal/cluster coverage " $$5 " below 95% floor"; bad=1 } \
@@ -82,6 +82,7 @@ cover-check:
 		$$2 ~ /internal\/serve\/ring$$/   && $$5+0 < 85 { print "FAIL: internal/serve/ring coverage " $$5 " below 85% floor"; bad=1 } \
 		$$2 ~ /internal\/load$$/          && $$5+0 < 85 { print "FAIL: internal/load coverage " $$5 " below 85% floor"; bad=1 } \
 		$$2 ~ /internal\/streamrisk$$/    && $$5+0 < 90 { print "FAIL: internal/streamrisk coverage " $$5 " below 90% floor"; bad=1 } \
+		$$2 ~ /internal\/scheduler$$/     && $$5+0 < 90 { print "FAIL: internal/scheduler coverage " $$5 " below 90% floor"; bad=1 } \
 		END { exit bad }'
 
 # One benchmark iteration per table/figure/ablation: fast sanity pass,
@@ -97,7 +98,7 @@ OUT ?= BENCH_local.json
 bench-capture:
 	$(GO) run ./cmd/benchjson -config short -suite -out $(OUT)
 
-OLD ?= BENCH_PR13.json
+OLD ?= BENCH_PR14.json
 NEW ?= BENCH_local.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/economy"
 	"repro/internal/experiment"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/scheduler"
@@ -24,8 +25,9 @@ type probe struct {
 
 // probes returns the probe set for a config. Names are namespaced so the
 // diff gate can reason about families: sim/* is the event kernel,
-// cluster/* the accounting structures, serve/* the service plane's
-// streaming surface, suite/* end-to-end throughput.
+// cluster/* the accounting structures, scheduler/* the policies' queues,
+// serve/* the service plane's streaming surface, suite/* end-to-end
+// throughput.
 // The paper config appends the 5000-job paper-scale probes.
 func probes(config string) []probe {
 	ps := []probe{
@@ -35,6 +37,7 @@ func probes(config string) []probe {
 		{"sim/mixed-heap/depth=4096", probeEngineMixedHeap},
 		{"cluster/timeshared-churn/nodes=32", probeTimeSharedChurn},
 		{"cluster/spaceshared-earliest/nodes=128", probeSpaceSharedEarliest},
+		{"scheduler/easy-queue/depth=512", probeEasyQueue},
 		{"serve/risk-stream/subs=4", probeRiskStreamIngest},
 		{"suite/commodity-small/jobs=150", probeSuiteSmall},
 		{"suite/replicated-cells/reps=4", probeSuiteReplicated},
@@ -234,6 +237,54 @@ func probeSpaceSharedEarliest(b *testing.B) {
 	b.StopTimer()
 	if count == 0 && sink == 0 {
 		b.Fatal("degenerate probe: no availability answers")
+	}
+}
+
+// probeEasyQueue measures one EASY backfilling pass over a deep blocked
+// queue: EDF-BF on the paper's 128-node machine, every node busy, 512
+// admissible jobs waiting. One op submits a job whose deadline has already
+// lapsed, so the pass inserts it by deadline, walks all 513 jobs, writes
+// it off and leaves the queue as it was. The doomed jobs are reused: a
+// rejected job may be rejected again.
+func probeEasyQueue(b *testing.B) {
+	const nodes, depth, doomed = 128, 512, 64
+	b.ReportAllocs()
+	ctx := &scheduler.Context{Engine: sim.NewEngine(), Collector: metrics.NewCollector(),
+		Model: economy.Commodity, Nodes: nodes, BasePrice: 1}
+	p := scheduler.NewEDFBF(ctx)
+	submit := func(j *workload.Job) {
+		ctx.Collector.Submitted(j)
+		p.Submit(j)
+	}
+	id := 1
+	job := func(procs int, estimate, deadline float64) *workload.Job {
+		id++
+		return &workload.Job{ID: id, Runtime: estimate, Estimate: estimate, Procs: procs,
+			Deadline: deadline, Budget: 1e12}
+	}
+	for i := 0; i < nodes/2; i++ { // fills the machine: never completes
+		submit(job(2, 1e9, 2e9))
+	}
+	var g lcg = 17
+	for i := 0; i < depth; i++ {
+		est := 100 + g.float()*10000
+		submit(job(1+int(g.next()%8), est, est*(1+3*g.float())))
+	}
+	pool := make([]*workload.Job, doomed)
+	for i := range pool {
+		est := 100 + g.float()*20000
+		pool[i] = job(1+int(g.next()%8), est, est/2)
+		ctx.Collector.Submitted(pool[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Submit(pool[i%doomed])
+	}
+	b.StopTimer()
+	rep := ctx.Collector.Report()
+	if rep.Accepted != nodes/2 || rep.Submitted != nodes/2+depth+doomed {
+		b.Fatalf("degenerate probe: %d of %d jobs accepted, want exactly the %d that fill the machine",
+			rep.Accepted, rep.Submitted, nodes/2)
 	}
 }
 

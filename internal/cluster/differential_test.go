@@ -26,10 +26,12 @@ const (
 	diffSeeds   = 30
 )
 
-// diffShape sizes a scenario's machine and its widest job.
+// diffShape sizes a scenario's machine and its widest job. A shape with
+// levels draws every node's rating from them, on every seed.
 type diffShape struct {
 	name            string
 	nodes, maxProcs int
+	levels          []float64
 }
 
 var (
@@ -37,6 +39,9 @@ var (
 	// diffWide spreads jobs up to 16 nodes wide over 64: one event dirties
 	// many nodes at once and the best-fit order moves in long runs.
 	diffWide = diffShape{name: "wide", nodes: 64, maxProcs: 16}
+	// diffTiered rates nodes from three speeds only: many nodes tie on
+	// rating, so fastest-first allocation falls back to the index rule.
+	diffTiered = diffShape{name: "tiered", nodes: 16, maxProcs: 6, levels: []float64{0.5, 1, 1.5}}
 )
 
 // fbits canonicalizes a float for the journal: bit pattern, not rounded
@@ -54,15 +59,19 @@ type diffScenario struct {
 
 // newDiffScenario draws one scenario. Odd seeds get a heterogeneous
 // machine, exercising the rating-aware paths (fastest-first allocation,
-// slowest-node rates).
+// slowest-node rates); a shape with rating levels is heterogeneous on
+// every seed.
 func newDiffScenario(t *testing.T, shape diffShape, seed int64, intensity faults.Intensity) diffScenario {
 	t.Helper()
 	rng := stats.NewRand(seed)
 	sc := diffScenario{ratings: make([]float64, shape.nodes)}
 	for i := range sc.ratings {
-		if seed%2 == 1 {
+		switch {
+		case len(shape.levels) > 0:
+			sc.ratings[i] = shape.levels[rng.Intn(len(shape.levels))]
+		case seed%2 == 1:
 			sc.ratings[i] = 0.5 + rng.Float64()
-		} else {
+		default:
 			sc.ratings[i] = 1
 		}
 	}
@@ -225,6 +234,8 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 type ssImpl interface {
 	CanStart(procs int) bool
 	Start(j *workload.Job, done func(*workload.Job)) error
+	// Allocation returns the nodes a running job occupies, in pick order.
+	Allocation(j *workload.Job) []int
 	Fail(i int) *workload.Job
 	Repair(i int)
 	FreeProcs() int
@@ -232,6 +243,11 @@ type ssImpl interface {
 	AvailableAt(t sim.Time) int
 	Utilization() float64
 }
+
+// realSS adapts *SpaceShared to ssImpl (only Allocation needs the adapter).
+type realSS struct{ *SpaceShared }
+
+func (r realSS) Allocation(j *workload.Job) []int { return r.running[j].Nodes }
 
 func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine) ssImpl) []string {
 	t.Helper()
@@ -260,12 +276,14 @@ func runSpaceSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engin
 				availability(fmt.Sprintf("defer %d", j.ID), 1, j.Procs, len(sc.ratings))
 				return
 			}
-			rec("start %d free=%d", j.ID, impl.FreeProcs())
+			free := impl.FreeProcs()
 			if err := impl.Start(j, func(fin *workload.Job) {
 				rec("done %d at=%s", fin.ID, tbits(e.Now()))
 			}); err != nil {
 				t.Errorf("start job %d: %v", j.ID, err)
+				return
 			}
+			rec("start %d free=%d nodes=%v", j.ID, free, impl.Allocation(j))
 		})
 	}
 	for _, fe := range sc.events {
@@ -347,18 +365,23 @@ func TestTimeSharedMatchesReferenceAcrossSeeds(t *testing.T) {
 
 // TestSpaceSharedMatchesReferenceAcrossSeeds does the same for the
 // space-shared discipline: the maintained (EstEnd, ID) order must answer
-// every availability question exactly as the rebuild-and-sort reference.
+// every availability question exactly as the rebuild-and-sort reference,
+// and the fixed fastest-first order must pick every job's nodes, node by
+// node, as the sort-the-free-pool reference does — on the tiered machine
+// through rating ties too.
 func TestSpaceSharedMatchesReferenceAcrossSeeds(t *testing.T) {
-	for _, intensity := range []faults.Intensity{faults.Low, faults.High} {
-		for seed := int64(0); seed < diffSeeds; seed++ {
-			sc := newDiffScenario(t, diffNarrow, seed, intensity)
-			opt := runSpaceSharedScenario(t, sc, func(e *sim.Engine) ssImpl {
-				return NewSpaceSharedRated(e, sc.ratings)
-			})
-			ref := runSpaceSharedScenario(t, sc, func(e *sim.Engine) ssImpl {
-				return newRefSpaceShared(e, sc.ratings)
-			})
-			compareJournals(t, fmt.Sprintf("spaceshared seed=%d intensity=%s", seed, intensity), opt, ref)
+	for _, shape := range []diffShape{diffNarrow, diffTiered} {
+		for _, intensity := range []faults.Intensity{faults.Low, faults.High} {
+			for seed := int64(0); seed < diffSeeds; seed++ {
+				sc := newDiffScenario(t, shape, seed, intensity)
+				opt := runSpaceSharedScenario(t, sc, func(e *sim.Engine) ssImpl {
+					return realSS{NewSpaceSharedRated(e, sc.ratings)}
+				})
+				ref := runSpaceSharedScenario(t, sc, func(e *sim.Engine) ssImpl {
+					return newRefSpaceShared(e, sc.ratings)
+				})
+				compareJournals(t, fmt.Sprintf("spaceshared %s seed=%d intensity=%s", shape.name, seed, intensity), opt, ref)
+			}
 		}
 	}
 }

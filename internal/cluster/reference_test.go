@@ -381,6 +381,8 @@ func newRefSpaceShared(engine *sim.Engine, ratings []float64) *refSpaceShared {
 
 func (s *refSpaceShared) FreeProcs() int { return s.free }
 
+func (s *refSpaceShared) Allocation(j *workload.Job) []int { return s.running[j].nodes }
+
 func (s *refSpaceShared) CanStart(procs int) bool {
 	return procs <= s.free && procs <= len(s.ratings)
 }

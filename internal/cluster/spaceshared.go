@@ -40,6 +40,10 @@ type SpaceJob struct {
 type SpaceShared struct {
 	engine  *sim.Engine
 	ratings []float64
+	// bySpeed lists every node fastest first (rating descending, then
+	// index). Ratings never change, so it is built once and pickNodes
+	// scans it instead of sorting the free pool on every Start.
+	bySpeed []int
 	busy    []bool
 	// down marks failed nodes: neither free nor allocatable until repaired.
 	down []bool
@@ -92,9 +96,21 @@ func NewSpaceSharedRated(engine *sim.Engine, ratings []float64) *SpaceShared {
 			panic(fmt.Sprintf("cluster: non-positive rating %v for node %d", r, i))
 		}
 	}
+	bySpeed := make([]int, len(ratings))
+	for i := range bySpeed {
+		bySpeed[i] = i
+	}
+	sort.Slice(bySpeed, func(a, b int) bool {
+		ra, rb := ratings[bySpeed[a]], ratings[bySpeed[b]]
+		if ra != rb {
+			return ra > rb
+		}
+		return bySpeed[a] < bySpeed[b]
+	})
 	return &SpaceShared{
 		engine:   engine,
 		ratings:  append([]float64(nil), ratings...),
+		bySpeed:  bySpeed,
 		busy:     make([]bool, len(ratings)),
 		down:     make([]bool, len(ratings)),
 		occupant: make([]*SpaceJob, len(ratings)),
@@ -154,23 +170,20 @@ func (s *SpaceShared) Utilization() float64 {
 	return current / (float64(len(s.ratings)) * now)
 }
 
-// pickNodes selects the procs fastest free (idle and up) nodes (ties by
-// index).
+// pickNodes selects the procs fastest free (idle and up) nodes, ties by
+// index: the first procs free nodes in bySpeed order. The result is the
+// job's retained allocation, so it is the one slice allocated.
 func (s *SpaceShared) pickNodes(procs int) []int {
-	idx := make([]int, 0, s.free)
-	for i, busy := range s.busy {
-		if !busy && !s.down[i] {
-			idx = append(idx, i)
+	nodes := make([]int, 0, procs)
+	for _, n := range s.bySpeed {
+		if len(nodes) == procs {
+			break
+		}
+		if !s.busy[n] && !s.down[n] {
+			nodes = append(nodes, n)
 		}
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ra, rb := s.ratings[idx[a]], s.ratings[idx[b]]
-		if ra != rb {
-			return ra > rb
-		}
-		return idx[a] < idx[b]
-	})
-	return idx[:procs]
+	return nodes
 }
 
 // Start begins executing j immediately on the fastest free nodes. done
@@ -219,8 +232,8 @@ func (s *SpaceShared) Start(j *workload.Job, done func(finished *workload.Job)) 
 	return nil
 }
 
-// endLess is the (EstEnd, ID) strict order byEnd is kept in. Job IDs are
-// unique, so it is total: binary search locates any job exactly.
+// endLess is the (EstEnd, ID) strict order byEnd is kept in. Duplicate
+// client-supplied job IDs can tie in it; a job inserts before its ties.
 func endLess(a, b *SpaceJob) bool {
 	if a.EstEnd != b.EstEnd {
 		return a.EstEnd < b.EstEnd
@@ -236,9 +249,13 @@ func (s *SpaceShared) insertByEnd(sj *SpaceJob) {
 	s.byEnd[i] = sj
 }
 
-// removeByEnd deletes sj from the sorted running list.
+// removeByEnd deletes sj from the sorted running list, looking for it
+// among the entries that tie with it.
 func (s *SpaceShared) removeByEnd(sj *SpaceJob) {
 	i := sort.Search(len(s.byEnd), func(k int) bool { return !endLess(s.byEnd[k], sj) })
+	for i < len(s.byEnd) && s.byEnd[i] != sj && !endLess(sj, s.byEnd[i]) {
+		i++
+	}
 	if i >= len(s.byEnd) || s.byEnd[i] != sj {
 		panic(fmt.Sprintf("cluster: job %d missing from byEnd index", sj.Job.ID))
 	}

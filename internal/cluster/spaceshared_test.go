@@ -138,6 +138,47 @@ func TestSpaceSharedRunningOrder(t *testing.T) {
 	}
 }
 
+// Duplicate client-supplied job IDs with equal estimates started at one
+// instant tie in the (EstEnd, ID) order. Whichever of them completes first
+// must leave the index intact, and a failure must kill the right one.
+func TestSpaceSharedDuplicateIDsTiedInEndOrder(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewSpaceShared(e, 4)
+	var order []float64
+	done := func(j *workload.Job) { order = append(order, j.Runtime) }
+	for _, runtime := range []float64{10, 30, 20} {
+		if err := c.Start(job(7, 1, runtime, 50), done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if victim := c.Fail(1); victim == nil || victim.Runtime != 30 {
+		t.Fatalf("Fail(1) killed %+v, want the runtime-30 job on node 1", victim)
+	}
+	e.Run()
+	if len(order) != 2 || order[0] != 10 || order[1] != 20 {
+		t.Errorf("completions by runtime = %v, want [10 20]", order)
+	}
+	if c.RunningCount() != 0 || len(c.byEnd) != 0 {
+		t.Errorf("running %d, byEnd %d after every job ended, want 0 and 0", c.RunningCount(), len(c.byEnd))
+	}
+}
+
+// Node picking allocates only the job's retained allocation, whatever the
+// size of the free pool.
+func TestPickNodesAllocatesOnlyTheAllocation(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewSpaceShared(e, 128)
+	j := job(1, 2, 10, 10)
+	allocs := testing.AllocsPerRun(100, func() {
+		if nodes := c.pickNodes(j.Procs); len(nodes) != 2 || cap(nodes) != 2 {
+			t.Fatalf("pickNodes(2) = %v (cap %d), want two nodes, capacity two", nodes, cap(nodes))
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("pickNodes allocates %v times per call, want 1 (the allocation itself)", allocs)
+	}
+}
+
 func TestSpaceSharedSequencing(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewSpaceShared(e, 2)

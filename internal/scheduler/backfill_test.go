@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/economy"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -268,5 +269,49 @@ func TestVariablePricingRejectsOverBudgetAtPeak(t *testing.T) {
 	col = runCollect(t, jobs, NewFCFSBF, cfg)
 	if !col.Outcomes()[0].Accepted {
 		t.Error("off-peak job rejected")
+	}
+}
+
+// A submission into a blocked queue — the machine full, hundreds of jobs
+// waiting — inserts the job in place and walks the queue once, allocating
+// nothing.
+func TestEasySubmitIntoBlockedQueueDoesNotAllocate(t *testing.T) {
+	const depth, runs = 300, 100
+	for _, tc := range []struct {
+		name    string
+		factory Factory
+	}{
+		{"FCFS-BF", NewFCFSBF},
+		{"SJF-BF", NewSJFBF},
+		{"EDF-BF", NewEDFBF},
+		{"FCFS-BF/noAC", NewFCFSNoAC},
+		{"EDF-BF/noAC", NewEDFNoAC},
+	} {
+		ctx := testContext(economy.Commodity, 4)
+		p := tc.factory(ctx)
+		blocker := qjob(1, 4, 0, 1e6, 1e6, 1e7, 1e9, 0)
+		ctx.Collector.Submitted(blocker)
+		p.Submit(blocker)
+		rng := stats.NewRand(1)
+		jobs := make([]*workload.Job, depth+runs+1) // AllocsPerRun adds a warm-up run
+		for i := range jobs {
+			est := 10 + 1000*rng.Float64()
+			jobs[i] = qjob(i+2, 1, 0, est, est, 1e7*(1+rng.Float64()), 1e9, 0)
+			ctx.Collector.Submitted(jobs[i])
+		}
+		for _, j := range jobs[:depth] {
+			p.Submit(j)
+		}
+		next := depth
+		allocs := testing.AllocsPerRun(runs, func() {
+			p.Submit(jobs[next])
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Submit into a %d-deep blocked queue allocates %v times, want 0", tc.name, depth, allocs)
+		}
+		if queued := len(p.(*backfillPolicy).queue); queued != next {
+			t.Errorf("%s: %d jobs queued, want all %d blocked", tc.name, queued, next)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/economy"
@@ -18,7 +17,8 @@ import (
 type conservative struct {
 	ctx     *Context
 	cluster *cluster.SpaceShared
-	queue   []*workload.Job
+	// queue is in FCFS order at all times (see enqueue).
+	queue []*workload.Job
 }
 
 // NewFCFSConservative returns First Come First Serve with conservative
@@ -42,7 +42,7 @@ func (c *conservative) EarliestAvailable(procs int) (float64, error) {
 }
 
 func (c *conservative) Submit(j *workload.Job) {
-	c.queue = append(c.queue, j)
+	c.queue = enqueue(c.queue, j, bySubmit)
 	c.schedule()
 }
 
@@ -58,7 +58,7 @@ func (c *conservative) Drain() {
 // and faces admission again.
 func (c *conservative) NodeDown(node int) {
 	if victim := c.cluster.Fail(node); victim != nil {
-		c.queue = append(c.queue, victim)
+		c.queue = enqueue(c.queue, victim, bySubmit)
 	}
 	c.schedule()
 }
@@ -69,41 +69,14 @@ func (c *conservative) NodeUp(node int) {
 	c.schedule()
 }
 
-func (c *conservative) admissible(j *workload.Job, now float64) bool {
-	if now+j.Estimate > j.AbsDeadline() {
-		return false
-	}
-	if c.ctx.Model == economy.Commodity &&
-		economy.BaseCharge(j.Estimate, c.ctx.PriceAt(now)) > j.Budget {
-		return false
-	}
-	return true
-}
-
 // schedule replans all reservations from scratch in FCFS order against the
 // availability profile, starting every job whose reservation is "now".
 // Replanning each pass is the standard formulation: completions ahead of
 // estimates compress the plan without ever pushing a reservation later.
+// Like the EASY pass it is one walk of the ordered queue, writing off jobs
+// that fail admission as it meets them.
 func (c *conservative) schedule() {
 	now := float64(c.ctx.Engine.Now())
-	// Purge jobs that can no longer meet their deadline (failure victims
-	// whose restart window closed are written off as killed).
-	kept := c.queue[:0]
-	for _, j := range c.queue {
-		if c.admissible(j, now) {
-			kept = append(kept, j)
-			continue
-		}
-		writeOff(c.ctx.Collector, j, now)
-	}
-	c.queue = kept
-	sort.SliceStable(c.queue, func(i, k int) bool {
-		if c.queue[i].Submit != c.queue[k].Submit {
-			return c.queue[i].Submit < c.queue[k].Submit
-		}
-		return c.queue[i].ID < c.queue[k].ID
-	})
-
 	prof := newProfile(now, c.cluster.Nodes(), c.cluster.FreeProcs())
 	for _, sj := range c.cluster.Running() {
 		end := float64(sj.EstEnd)
@@ -113,8 +86,15 @@ func (c *conservative) schedule() {
 		prof.addRelease(end, sj.Job.Procs)
 	}
 
-	kept = c.queue[:0]
+	g := gateAt(c.ctx, now)
+	kept := c.queue[:0]
 	for _, j := range c.queue {
+		if !g.admits(j) {
+			// It can no longer meet its deadline (a failure victim whose
+			// restart window closed is written off as killed).
+			writeOff(c.ctx.Collector, j, now)
+			continue
+		}
 		t := prof.earliest(now, j.Estimate, j.Procs)
 		if t <= now && c.cluster.CanStart(j.Procs) {
 			c.start(j)

@@ -1,154 +1,24 @@
 package scheduler
 
-import (
-	"sort"
-
-	"repro/internal/cluster"
-	"repro/internal/economy"
-	"repro/internal/workload"
-)
-
-// noAdmission is the baseline the paper dismisses in §5.2: plain EASY
-// backfilling with NO admission control — every job is accepted at
+// The no-admission-control baselines the paper dismisses in §5.2: plain
+// EASY backfilling with NO admission control — every job is accepted at
 // submission and executed eventually, deadlines be damned. The paper notes
 // these "policies without job admission control perform much worse,
 // especially when deadlines of jobs are short"; the admission-control
 // ablation bench quantifies that claim. Under the commodity model a job is
 // still charged its quote (capped at its budget, since the provider may
 // not charge more); under the bid-based model late jobs accrue the usual
-// unbounded penalties.
-type noAdmission struct {
-	ctx     *Context
-	cluster *cluster.SpaceShared
-	queue   []*workload.Job
-	name    string
-	less    func(a, b *workload.Job) bool
-}
+// unbounded penalties. They are backfillPolicy with the admission filter
+// off, so the EASY pass exists once.
 
 // NewFCFSNoAC returns First Come First Serve backfilling without admission
 // control.
 func NewFCFSNoAC(ctx *Context) Policy {
-	return &noAdmission{
-		ctx:     ctx,
-		cluster: newSpaceCluster(ctx),
-		name:    "FCFS-BF/noAC",
-		less: func(a, b *workload.Job) bool {
-			if a.Submit != b.Submit {
-				return a.Submit < b.Submit
-			}
-			return a.ID < b.ID
-		},
-	}
+	return newBackfill(ctx, "FCFS-BF/noAC", bySubmit, false)
 }
 
 // NewEDFNoAC returns Earliest Deadline First backfilling without admission
 // control.
 func NewEDFNoAC(ctx *Context) Policy {
-	return &noAdmission{
-		ctx:     ctx,
-		cluster: newSpaceCluster(ctx),
-		name:    "EDF-BF/noAC",
-		less: func(a, b *workload.Job) bool {
-			if a.AbsDeadline() != b.AbsDeadline() {
-				return a.AbsDeadline() < b.AbsDeadline()
-			}
-			return a.ID < b.ID
-		},
-	}
-}
-
-func (n *noAdmission) Name() string { return n.name }
-
-// Utilization reports the machine's processor utilization so far.
-func (n *noAdmission) Utilization() float64 { return n.cluster.Utilization() }
-
-// EarliestAvailable implements AvailabilityEstimator over the space-shared
-// machine's running set.
-func (n *noAdmission) EarliestAvailable(procs int) (float64, error) {
-	return spaceEarliest(n.cluster, procs)
-}
-
-func (n *noAdmission) Submit(j *workload.Job) {
-	// Accepted unconditionally, immediately — the whole point of the
-	// baseline.
-	n.ctx.Collector.Accepted(j)
-	n.queue = append(n.queue, j)
-	n.schedule()
-}
-
-func (n *noAdmission) Drain() {
-	// Without faults every accepted job starts once the machine frees up;
-	// under fault injection, jobs wider than the surviving machine can be
-	// stranded and are written off here.
-	now := float64(n.ctx.Engine.Now())
-	for _, j := range n.queue {
-		writeOff(n.ctx.Collector, j, now)
-	}
-	n.queue = nil
-}
-
-// NodeDown fails a node and requeues its resident job unconditionally —
-// there is no admission control to refuse the restart.
-func (n *noAdmission) NodeDown(node int) {
-	if victim := n.cluster.Fail(node); victim != nil {
-		n.queue = append(n.queue, victim)
-	}
-	n.schedule()
-}
-
-// NodeUp repairs a node; the restored capacity may start queued jobs.
-func (n *noAdmission) NodeUp(node int) {
-	n.cluster.Repair(node)
-	n.schedule()
-}
-
-func (n *noAdmission) schedule() {
-	sort.SliceStable(n.queue, func(i, k int) bool { return n.less(n.queue[i], n.queue[k]) })
-	for len(n.queue) > 0 && n.cluster.CanStart(n.queue[0].Procs) {
-		n.start(n.queue[0])
-		n.queue = n.queue[1:]
-	}
-	if len(n.queue) <= 1 {
-		return
-	}
-	head := n.queue[0]
-	resTime, err := n.cluster.EarliestAvailable(head.Procs)
-	if err != nil {
-		panic(err)
-	}
-	kept := n.queue[:1]
-	for _, j := range n.queue[1:] {
-		if n.cluster.CanStart(j.Procs) && float64(n.ctx.Engine.Now())+j.Estimate <= float64(resTime) {
-			n.start(j)
-			continue
-		}
-		kept = append(kept, j)
-	}
-	n.queue = kept
-}
-
-func (n *noAdmission) start(j *workload.Job) {
-	now := float64(n.ctx.Engine.Now())
-	n.ctx.Collector.Started(j, now)
-	if err := n.cluster.Start(j, n.onFinish); err != nil {
-		panic(err)
-	}
-}
-
-func (n *noAdmission) onFinish(j *workload.Job) {
-	now := float64(n.ctx.Engine.Now())
-	var utility float64
-	switch n.ctx.Model {
-	case economy.Commodity:
-		// The provider may only charge up to the budget (§5.1), at the
-		// price in effect at submission.
-		utility = economy.BaseCharge(j.Estimate, n.ctx.PriceAt(j.Submit))
-		if utility > j.Budget {
-			utility = j.Budget
-		}
-	case economy.BidBased:
-		utility = economy.BidUtility(j, now)
-	}
-	n.ctx.Collector.Finished(j, now, utility)
-	n.schedule()
+	return newBackfill(ctx, "EDF-BF/noAC", byDeadline, false)
 }

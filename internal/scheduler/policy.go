@@ -21,10 +21,14 @@ type Context struct {
 	// BasePrice is PBase, in dollars per estimated-runtime second.
 	BasePrice float64
 	// NodeRatings optionally makes the machine heterogeneous: node i runs
-	// at NodeRatings[i] times the reference speed. Honored by the
-	// time-shared (Libra-family) policies; the space-shared policies model
-	// the paper's homogeneous SP2 and ignore it (see the heterogeneity
-	// ablation bench).
+	// at NodeRatings[i] times the reference speed. Every policy's machine
+	// honors it: the time-shared (Libra-family) nodes execute work at their
+	// rating, though Libra's share admission stays blind to it; the
+	// space-shared policies (the backfillers, QoPS, FirstReward, the no-AC
+	// baselines) allocate the fastest free nodes first and run a parallel
+	// job at its slowest node's speed. The federation's hetero4 clusters
+	// and the heterogeneity ablation bench's FCFS-BF/heterogeneous case
+	// depend on the space-shared half.
 	NodeRatings []float64
 	// Prices optionally varies the commodity base price over time (the
 	// paper's "variable" pricing, §5.1). Nil means flat BasePrice. Honored
@@ -106,8 +110,8 @@ type FaultInjectable interface {
 	NodeUp(node int)
 }
 
-// writeOff records a queued job the policy is giving up on — typically at
-// drain or admission purge under fault injection: killed if it had started
+// writeOff records a queued job the policy is giving up on — at drain, or
+// when it fails admission in the queue: killed if it had started
 // (a failure victim that could not be restarted), abandoned if accepted but
 // never run, plainly rejected otherwise.
 func writeOff(c *metrics.Collector, j *workload.Job, now float64) {

@@ -85,12 +85,7 @@ func (q *qops) NodeUp(node int) {
 
 // edfSort orders jobs by absolute deadline, then ID.
 func edfSort(jobs []*workload.Job) {
-	sort.SliceStable(jobs, func(i, k int) bool {
-		if jobs[i].AbsDeadline() != jobs[k].AbsDeadline() {
-			return jobs[i].AbsDeadline() < jobs[k].AbsDeadline()
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
+	sort.SliceStable(jobs, func(i, k int) bool { return byDeadline(jobs[i], jobs[k]) })
 }
 
 // plan builds the EDF schedule of the given queued jobs over the current

@@ -122,8 +122,8 @@ func TestPoliciesSurviveAdversarialStreams(t *testing.T) {
 	}
 }
 
-// The same streams on a heterogeneous machine (Libra family honors
-// ratings; others ignore them) must also settle cleanly.
+// The same streams on a heterogeneous machine (every policy's machine
+// honors the ratings) must also settle cleanly.
 func TestPoliciesSurviveAdversarialStreamsRated(t *testing.T) {
 	ratings := []float64{2, 1.5, 1, 1, 1, 0.75, 0.5, 0.25}
 	jobs := adversarialStream(13, 150, 8)
