@@ -36,6 +36,7 @@ func probes(config string) []probe {
 		{"sim/schedule-cancel/depth=256", probeEngineScheduleCancel},
 		{"sim/mixed-heap/depth=4096", probeEngineMixedHeap},
 		{"cluster/timeshared-churn/nodes=32", probeTimeSharedChurn},
+		{"cluster/timeshared-wide/nodes=128", probeTimeSharedWide},
 		{"cluster/spaceshared-earliest/nodes=128", probeSpaceSharedEarliest},
 		{"scheduler/easy-queue/depth=512", probeEasyQueue},
 		{"serve/risk-stream/subs=4", probeRiskStreamIngest},
@@ -199,6 +200,74 @@ func probeTimeSharedChurn(b *testing.B) {
 	reportEventsPerSec(b, e)
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(started)/s, "jobs/s")
+	}
+}
+
+// probeTimeSharedWide measures the Libra family's per-event accounting on
+// the paper's 128-node machine with wide jobs running: four 64-node jobs
+// that never finish, and 48 jobs up to 32 nodes wide coming and going,
+// about a fifth of them lapsing before they finish. One op starts one job
+// on the best-fit candidates and runs the engine to the next completion,
+// so it pays one start, one completion, the rate refreshes both trigger
+// and one restore of the best-fit order. A job that completes waits in a
+// FIFO to start again; the machine reuses its record, so an op allocates
+// nothing.
+func probeTimeSharedWide(b *testing.B) {
+	const nodes, wide, resident = 128, 4, 48
+	b.ReportAllocs()
+	e := sim.NewEngine()
+	ts := cluster.NewTimeShared(e, nodes)
+	var g lcg = 23
+	idle := make([]*workload.Job, 0, resident)
+	for id := wide + 1; id <= wide+resident; id++ {
+		idle = append(idle, &workload.Job{ID: id})
+	}
+	done := func(j *workload.Job) { idle = append(idle, j) }
+	var cand []int
+	start := func(j *workload.Job, procs int, share, runtime float64) {
+		cand = ts.CandidateNodes(cand[:0], share)
+		if len(cand) < procs {
+			b.Fatalf("degenerate probe: %d candidates for a %d-wide job", len(cand), procs)
+		}
+		j.Submit, j.Procs, j.Runtime, j.Estimate = float64(e.Now()), procs, runtime, runtime
+		if err := ts.Start(j, share, cand[:procs], done); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// next starts the longest-idle job; its guaranteed share would finish
+	// it by runtime/share, and its deadline falls at 0.8–1.8 times that.
+	next := func() {
+		j := idle[0]
+		copy(idle, idle[1:])
+		idle = idle[:len(idle)-1]
+		runtime, share := 50+g.float()*500, 0.02+0.04*g.float()
+		j.Deadline = runtime / share * (0.8 + g.float())
+		start(j, 1+int(g.next()%32), share, runtime)
+	}
+	for id := 1; id <= wide; id++ {
+		start(&workload.Job{ID: id}, nodes/2, 0.1, 1e12)
+	}
+	for len(idle) > 1 {
+		next()
+	}
+	op := func() {
+		next()
+		for waiting := len(idle); len(idle) == waiting; {
+			if !e.Step() {
+				b.Fatal("degenerate probe: engine drained")
+			}
+		}
+	}
+	for i := 0; i < 4*resident; i++ { // every record has been recycled
+		op()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if running := ts.RunningCount(); running != wide+resident-len(idle) || running <= wide {
+		b.Fatalf("degenerate probe: %d jobs running, %d idle", running, len(idle))
 	}
 }
 

@@ -27,11 +27,13 @@ const (
 )
 
 // diffShape sizes a scenario's machine and its widest job. A shape with
-// levels draws every node's rating from them, on every seed.
+// levels draws every node's rating from them, on every seed; a shape with
+// a share gives every job that share.
 type diffShape struct {
 	name            string
 	nodes, maxProcs int
 	levels          []float64
+	share           float64
 }
 
 var (
@@ -42,6 +44,14 @@ var (
 	// diffTiered rates nodes from three speeds only: many nodes tie on
 	// rating, so fastest-first allocation falls back to the index rule.
 	diffTiered = diffShape{name: "tiered", nodes: 16, maxProcs: 6, levels: []float64{0.5, 1, 1.5}}
+	// diffFast runs every node at 1.5, as a federation member's uniformly
+	// faster cluster does: uniform, yet no node at the reference speed.
+	diffFast = diffShape{name: "fast", nodes: 16, maxProcs: 6, levels: []float64{1.5}}
+	// diffDense packs jobs up to half the machine wide, all holding the
+	// share 1/8, onto uniform nodes: node totals are small multiples of an
+	// exact binary fraction, so nodes, and with them a job's slowest
+	// nodes, tie often.
+	diffDense = diffShape{name: "dense", nodes: 16, maxProcs: 8, levels: []float64{1}, share: 0.125}
 )
 
 // fbits canonicalizes a float for the journal: bit pattern, not rounded
@@ -92,6 +102,9 @@ func newDiffScenario(t *testing.T, shape diffShape, seed int64, intensity faults
 			j.Deadline = estimate * (0.5 + 1.5*rng.Float64())
 			share = stats.Clamp(j.Estimate/j.Deadline, 0.05, 1)
 		}
+		if shape.share > 0 {
+			share = shape.share
+		}
 		sc.jobs = append(sc.jobs, j)
 		sc.shares = append(sc.shares, share)
 	}
@@ -135,9 +148,13 @@ type tsImpl interface {
 	CommittedSeconds(i int, horizon float64) float64
 	Utilization() float64
 	JobState(j *workload.Job) (rate, progress float64, lapsed, ok bool)
+	// JobRate reads a running job's rate without advancing progress: the
+	// rate checks after every submit and failure must not checkpoint.
+	JobRate(j *workload.Job) (rate float64, ok bool)
 }
 
-// realTS adapts *TimeShared to tsImpl (only JobState needs the adapter).
+// realTS adapts *TimeShared to tsImpl (only JobState and JobRate need the
+// adapter).
 type realTS struct{ *TimeShared }
 
 func (r realTS) JobState(j *workload.Job) (float64, float64, bool, bool) {
@@ -146,6 +163,14 @@ func (r realTS) JobState(j *workload.Job) (float64, float64, bool, bool) {
 		return 0, 0, false, false
 	}
 	return tj.Rate(), tj.Progress(), tj.Lapsed(), true
+}
+
+func (r realTS) JobRate(j *workload.Job) (float64, bool) {
+	tj, ok := r.running[j]
+	if !ok {
+		return 0, false
+	}
+	return tj.rate, true
 }
 
 // runTimeSharedScenario drives one implementation through the scenario and
@@ -169,6 +194,18 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 		}
 		return string(b)
 	}
+	// rates renders every running job's rate, so a stale rate shows at the
+	// event that left it stale, not only when it next moves a probe or a
+	// completion time.
+	rates := func(tag string) {
+		b := []byte(tag)
+		for _, j := range sc.jobs {
+			if rate, ok := impl.JobRate(j); ok {
+				b = fmt.Appendf(b, " %d:%s", j.ID, fbits(rate))
+			}
+		}
+		journal = append(journal, string(b))
+	}
 	var cand []int // reused: CandidateNodes must not depend on dst's contents
 	for i, j := range sc.jobs {
 		j, share := j, sc.shares[i]
@@ -186,6 +223,7 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 			}); err != nil {
 				t.Errorf("start job %d: %v", j.ID, err)
 			}
+			rates("rates")
 		})
 	}
 	for _, fe := range sc.events {
@@ -198,6 +236,7 @@ func runTimeSharedScenario(t *testing.T, sc diffScenario, build func(*sim.Engine
 					ids[k] = v.ID
 				}
 				rec("fail %d at=%s victims=%v", fe.Node, tbits(e.Now()), ids)
+				rates("rates")
 			})
 		} else {
 			e.MustSchedule(sim.Time(fe.Time), "diff repair", func() {
@@ -344,10 +383,11 @@ func compareJournals(t *testing.T, label string, got, want []string) {
 
 // TestTimeSharedMatchesReferenceAcrossSeeds drives the optimized TimeShared
 // and the naive full-recompute reference through 30 seeds at both fault
-// intensities, on the narrow and the wide machine, and requires
-// bit-identical journals.
+// intensities, on the narrow, wide, fast and dense machines, and requires
+// bit-identical journals, every running job's rate included after each
+// submit and each failure.
 func TestTimeSharedMatchesReferenceAcrossSeeds(t *testing.T) {
-	for _, shape := range []diffShape{diffNarrow, diffWide} {
+	for _, shape := range []diffShape{diffNarrow, diffWide, diffFast, diffDense} {
 		for _, intensity := range []faults.Intensity{faults.Low, faults.High} {
 			for seed := int64(0); seed < diffSeeds; seed++ {
 				sc := newDiffScenario(t, shape, seed, intensity)

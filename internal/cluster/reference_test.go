@@ -258,6 +258,14 @@ func (t *refTimeShared) JobState(j *workload.Job) (rate, progress float64, lapse
 	return tj.rate, tj.progress, tj.lapsed, true
 }
 
+func (t *refTimeShared) JobRate(j *workload.Job) (float64, bool) {
+	tj, ok := t.running[j]
+	if !ok {
+		return 0, false
+	}
+	return tj.rate, true
+}
+
 func (t *refTimeShared) advance() {
 	now := t.engine.Now()
 	dt := float64(now - t.lastUpdate)

@@ -25,7 +25,9 @@ const workEps = 1e-6
 // below its booked share.
 const LapsedWeightFactor = 1.0
 
-// TSJob is one job executing on a time-shared cluster.
+// TSJob is one job executing on a time-shared cluster. The cluster reuses
+// a record once its job has left the machine, so a caller may hold one
+// only while the job runs.
 type TSJob struct {
 	Job *workload.Job
 	// Share is the guaranteed processor fraction on each allocated node
@@ -38,12 +40,18 @@ type TSJob struct {
 
 	remaining float64 // actual work left, in seconds at rate 1
 	progress  float64 // actual work done
-	rate      float64 // current execution rate (fraction of a processor)
-	lapsed    bool    // booking expired before completion
-	lapseEv   sim.Event
-	done      func(*workload.Job)
-	seq       uint64 // start sequence: orders equal job IDs on a node
-	visited   uint64 // stamp of the last recompute that refreshed the rate
+	// rate is the current execution rate (fraction of a processor): the
+	// minimum over the job's nodes of nodeRate, attained at node slowest.
+	rate    float64
+	slowest int
+	lapsed  bool // booking expired before completion
+	lapseEv sim.Event
+	// lapse is onLapse for this record, bound once: records are reused.
+	lapse   sim.Handler
+	done    func(*workload.Job)
+	seq     uint64 // start sequence: orders equal job IDs on a node
+	visited uint64 // stamp of the last recompute that rescanned the job
+	gone    bool   // released from the machine; compact drops it from order
 }
 
 // Progress returns the actual work completed so far, in processor-seconds
@@ -98,6 +106,9 @@ type tsNode struct {
 	// would yield the bitwise-identical float, so skipping is exact, not
 	// approximate.
 	dirty bool
+	// unfit marks that the node's weights changed since CandidateNodes
+	// last restored the best-fit order.
+	unfit bool
 	// jobs lists the node's running jobs in (job ID, start sequence) order,
 	// the order CommittedSeconds sums in: float addition is not
 	// associative, so a quoted price must not depend on insertion history.
@@ -136,14 +147,19 @@ type TimeShared struct {
 	// clear the flags without scanning the whole machine.
 	dirtyNodes []int
 	// fit lists every node, up or down, sorted by (1 − booked, index): the
-	// best-fit order CandidateNodes reads. recompute re-places the dirty
-	// nodes, the only ones whose booking can have changed. down is not part
-	// of the key because Fail and Repair flip it without a recompute.
+	// best-fit order CandidateNodes reads. Only the unfit nodes can be out
+	// of place; CandidateNodes, the order's one reader, re-places them.
+	// down is not part of the key because Fail and Repair flip it without
+	// touching a booking.
 	fit []int
+	// unfitNodes lists the nodes currently marked unfit.
+	unfitNodes []int
 	// seq numbers Starts; stamp hands out fresh visit stamps.
 	seq, stamp uint64
 	// finished is onCompletion's reusable retire list.
 	finished []*TSJob
+	// free holds released records for Start to reuse.
+	free []*TSJob
 	// complete is onCompletion as a handler, bound once rather than per
 	// reschedule.
 	complete sim.Handler
@@ -251,13 +267,17 @@ func (t *TimeShared) NodeHasOverrun(i int) bool {
 // extended slice. The result never aliases the cluster's own state, so
 // callers may filter it in place.
 //
-// Free share ascends along the maintained fit order, and x+workEps >= share
-// is monotone in x, so the candidates are a suffix of it: a binary search
-// finds where it starts. The search reads the fit key 1 − booked rather
-// than FreeShare, which answers 0 for the down nodes the order still holds.
+// Free share ascends along the fit order, once restored, and
+// x+workEps >= share is monotone in x, so the candidates are a suffix of
+// it: a binary search finds where it starts. The search reads the fit key
+// 1 − booked rather than FreeShare, which answers 0 for the down nodes the
+// order still holds.
 //
 //lint:hot
 func (t *TimeShared) CandidateNodes(dst []int, share float64) []int {
+	if len(t.unfitNodes) > 0 {
+		t.refit()
+	}
 	lo, hi := 0, len(t.fit)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -331,12 +351,18 @@ func (t *TimeShared) Start(j *workload.Job, share float64, nodes []int, done fun
 	}
 	t.advance()
 	t.seq++
-	tj := &TSJob{
+	tj := t.record()
+	// An infinite rate with no slowest node makes recompute take the
+	// minimum over every node of the job, all of them dirty below.
+	*tj = TSJob{
 		Job:       j,
 		Share:     share,
-		Nodes:     append([]int(nil), nodes...),
+		Nodes:     append(tj.Nodes[:0], nodes...),
 		Start:     t.engine.Now(),
 		remaining: j.Runtime,
+		rate:      math.Inf(1),
+		slowest:   -1,
+		lapse:     tj.lapse,
 		done:      done,
 		seq:       t.seq,
 	}
@@ -351,11 +377,25 @@ func (t *TimeShared) Start(j *workload.Job, share float64, nodes []int, done fun
 		tj.lapseEv = t.engine.MustSchedule(
 			sim.Time(math.Max(j.AbsDeadline(), float64(t.engine.Now()))),
 			"lapse booking",
-			func() { t.onLapse(tj) },
+			tj.lapse,
 		)
 	}
 	t.recompute()
 	return nil
+}
+
+// record returns a released record to reuse, or a new one with its lapse
+// handler bound.
+func (t *TimeShared) record() *TSJob {
+	if k := len(t.free) - 1; k >= 0 {
+		tj := t.free[k]
+		t.free[k] = nil
+		t.free = t.free[:k]
+		return tj
+	}
+	tj := &TSJob{}
+	tj.lapse = func() { t.onLapse(tj) }
+	return tj
 }
 
 // onLapse expires a still-running job's booking at its deadline.
@@ -411,32 +451,10 @@ func (t *TimeShared) Kill(j *workload.Job) error {
 		return fmt.Errorf("cluster: kill of job %d, which is not running", j.ID)
 	}
 	t.advance()
-	delete(t.running, j)
-	kept := t.order[:0]
-	for _, o := range t.order {
-		if o != tj {
-			kept = append(kept, o)
-		}
-	}
-	t.order = kept
-	t.engine.Cancel(tj.lapseEv)
-	tj.lapseEv = sim.Event{}
-	for _, n := range tj.Nodes {
-		if tj.lapsed {
-			t.nodes[n].lapsedWeight -= tj.weight()
-			if t.nodes[n].lapsedWeight < 0 {
-				t.nodes[n].lapsedWeight = 0
-			}
-		} else {
-			t.nodes[n].booked -= tj.Share
-			if t.nodes[n].booked < 0 {
-				t.nodes[n].booked = 0
-			}
-		}
-		t.nodes[n].removeJob(tj)
-	}
-	t.markDirty(tj.Nodes)
+	t.release(tj)
+	t.compact()
 	t.recompute()
+	t.recycle(tj)
 	return nil
 }
 
@@ -445,6 +463,13 @@ func (t *TimeShared) Kill(j *workload.Job) error {
 // in job-ID order so the owning policy can account for them; the node
 // accepts no new work until Repair. Failing a node that is already down is
 // a programming error (the generator emits strictly alternating events).
+//
+// The victims leave at one instant, so one recompute serves them all: the
+// rates and the completion event it produces are those of a kill-by-kill
+// sequence, whose intermediate rates never integrate over any time. The
+// bookings are released in the same victim order, so every node's float
+// sums match too. A node with no victims changes no weight and recomputes
+// nothing.
 func (t *TimeShared) Fail(i int) []*workload.Job {
 	if i < 0 || i >= len(t.nodes) {
 		panic(fmt.Sprintf("cluster: Fail of node %d on a %d-node machine", i, len(t.nodes)))
@@ -453,13 +478,18 @@ func (t *TimeShared) Fail(i int) []*workload.Job {
 		panic(fmt.Sprintf("cluster: node %d failed twice without repair", i))
 	}
 	var victims []*workload.Job
-	for _, tj := range t.nodes[i].jobs { // (ID, start sequence) order
-		victims = append(victims, tj.Job)
-	}
-	for _, j := range victims {
-		if err := t.Kill(j); err != nil {
-			panic(err) // victims were just read from the running set
+	if jobs := t.nodes[i].jobs; len(jobs) > 0 {
+		t.advance()
+		victims = make([]*workload.Job, 0, len(jobs))
+		for len(jobs) > 0 { // (ID, start sequence) order; release shrinks the list
+			tj := jobs[0]
+			victims = append(victims, tj.Job)
+			t.release(tj)
+			t.recycle(tj) // nothing starts before compact drops it
+			jobs = t.nodes[i].jobs
 		}
+		t.compact()
+		t.recompute()
 	}
 	t.nodes[i].down = true
 	return victims
@@ -503,27 +533,43 @@ func (t *TimeShared) advance() {
 }
 
 // markDirty flags the given nodes as weight-changed since the last
-// recompute. Every mutation of booked/lapsedWeight must be followed by a
-// markDirty of the affected nodes before recompute runs.
+// recompute and since the last restore of the best-fit order. Every
+// mutation of booked/lapsedWeight must be followed by a markDirty of the
+// affected nodes before recompute runs.
 func (t *TimeShared) markDirty(nodes []int) {
 	for _, n := range nodes {
-		if !t.nodes[n].dirty {
-			t.nodes[n].dirty = true
+		nd := &t.nodes[n]
+		if !nd.dirty {
+			nd.dirty = true
 			t.dirtyNodes = append(t.dirtyNodes, n) //lint:allow hotalloc — reused buffer, grows only until it holds the machine
+		}
+		if !nd.unfit {
+			nd.unfit = true
+			t.unfitNodes = append(t.unfitNodes, n) //lint:allow hotalloc — reused buffer, grows only until it holds the machine
 		}
 	}
 }
 
-// recompute refreshes the execution rate of every job on a dirty node,
-// re-places the dirty nodes in the best-fit order, and reschedules the next
-// completion event. Callers must advance() first.
+// recompute refreshes the execution rate of every job on a dirty node and
+// reschedules the next completion event. Callers must advance() first.
 //
-// Jobs entirely on clean nodes are skipped: their rate inputs (own weight,
-// node total weights, ratings) are unchanged, so the recomputed value would
-// be bitwise identical — the skip is exact. A job's rate depends only on its
-// own nodes, so neither the order in which the dirty nodes' lists are
-// visited nor the stamp that refreshes a job only once changes a rate. The
-// completion event is always cancelled and rescheduled, even when the
+// A job's rate is the float minimum of nodeRate over its nodes, and the job
+// caches the node that attains it. Before a recompute every cache is exact:
+// rate equals the slowest node's value and no node's value is below it.
+// Clean nodes keep their values: nodeRate reads only the job's weight, the
+// node's total weight and its rating, and a job's weight changes only on
+// its own lapse, which dirties all of its nodes. So only (job, dirty node)
+// pairs are evaluated. A value below the cached rate makes that node the
+// slowest; if the slowest node itself got faster, the minimum may have
+// moved to any node, and the job's whole node list is rescanned (once:
+// every node's total is already final). Any other value leaves the minimum
+// where it was. The minimum of floats is one of them, exactly, so the
+// result is bitwise the rate a scan of every node of every job would give,
+// whatever the order the pairs are visited in. A new job starts at rate +Inf
+// with no slowest node and every node dirty, so it takes the minimum over
+// all of them.
+//
+// The completion event is always cancelled and rescheduled, even when the
 // soonest eta is unchanged, so the kernel's event sequence numbers (and
 // therefore same-time tie-breaking) match a full recompute step for step.
 //
@@ -531,16 +577,20 @@ func (t *TimeShared) markDirty(nodes []int) {
 func (t *TimeShared) recompute() {
 	t.stamp++
 	for _, n := range t.dirtyNodes {
-		for _, tj := range t.nodes[n].jobs {
-			if tj.visited != t.stamp {
-				tj.visited = t.stamp
-				t.refreshRate(tj)
+		nd := &t.nodes[n]
+		nd.dirty = false
+		total := nd.totalWeight()
+		for _, tj := range nd.jobs {
+			if tj.visited == t.stamp {
+				continue // rescanned: its rate is final
+			}
+			switch r := nodeRate(tj.weight(), total, nd.rating); {
+			case r < tj.rate:
+				tj.rate, tj.slowest = r, n
+			case r > tj.rate && n == tj.slowest:
+				t.rescan(tj)
 			}
 		}
-	}
-	t.refit()
-	for _, n := range t.dirtyNodes {
-		t.nodes[n].dirty = false
 	}
 	t.dirtyNodes = t.dirtyNodes[:0]
 	t.engine.Cancel(t.next)
@@ -558,39 +608,52 @@ func (t *TimeShared) recompute() {
 	t.next = t.engine.MustSchedule(soonest, "timeshared completion", t.complete)
 }
 
-// refreshRate sets tj's execution rate from its weight and its nodes'
-// current total weights and ratings.
-func (t *TimeShared) refreshRate(tj *TSJob) {
-	w := tj.weight()
-	rate := math.Inf(1)
-	for _, n := range tj.Nodes {
-		total := t.nodes[n].totalWeight()
-		frac := 1.0
-		if total > w {
-			frac = w / total
-		}
-		// The node delivers its weighted slice at its own speed; a
-		// parallel job advances at its slowest node.
-		if r := frac * t.nodes[n].rating; r < rate {
-			rate = r
-		}
+// nodeRate is the rate a job of weight w gets on a node carrying total
+// weight: the node delivers the job's weighted slice at its own speed.
+func nodeRate(w, total, rating float64) float64 {
+	frac := 1.0
+	if total > w {
+		frac = w / total
 	}
-	tj.rate = rate
+	return frac * rating
 }
 
-// refit restores the fit order after the dirty nodes' bookings changed:
-// it drops every dirty node, then binary-inserts each at its new key. The
-// key is the exact float 1 − booked that FreeShare returns, not booked
-// itself: two different bookings can round to the same free share, and
-// those must tie on index.
-func (t *TimeShared) refit() {
-	kept := t.fit[:0]
-	for _, i := range t.fit {
-		if !t.nodes[i].dirty {
-			kept = append(kept, i) //lint:allow hotalloc — in-place filter; never outgrows fit
+// rescan sets tj's rate and slowest node from all of its nodes — a
+// parallel job advances at its slowest node — and stamps it as visited by
+// the current recompute.
+func (t *TimeShared) rescan(tj *TSJob) {
+	tj.visited = t.stamp
+	w := tj.weight()
+	tj.rate = math.Inf(1)
+	for _, n := range tj.Nodes {
+		nd := &t.nodes[n]
+		if r := nodeRate(w, nd.totalWeight(), nd.rating); r < tj.rate {
+			tj.rate, tj.slowest = r, n
 		}
 	}
-	for _, i := range t.dirtyNodes {
+}
+
+// refit restores the fit order from the nodes marked unfit since the last
+// restore: it drops them, then binary-inserts each at its new key. The
+// other nodes kept their bookings, so they are still in order; the result
+// is the one order sorted by key, however many changes it batches. The key
+// is the exact float 1 − booked that FreeShare returns, not booked itself:
+// two different bookings can round to the same free share, and those must
+// tie on index.
+func (t *TimeShared) refit() {
+	k := 0
+	for i, n := range t.fit {
+		if t.nodes[n].unfit {
+			continue
+		}
+		if k != i {
+			t.fit[k] = n
+		}
+		k++
+	}
+	kept := t.fit[:k]
+	for _, i := range t.unfitNodes {
+		t.nodes[i].unfit = false
 		free := 1 - t.nodes[i].booked
 		lo, hi := 0, len(kept)
 		for lo < hi {
@@ -607,6 +670,7 @@ func (t *TimeShared) refit() {
 		kept[lo] = i
 	}
 	t.fit = kept
+	t.unfitNodes = t.unfitNodes[:0]
 }
 
 // jobPos returns where tj belongs in a node's (job ID, start sequence)
@@ -632,46 +696,80 @@ func (n *tsNode) removeJob(tj *TSJob) {
 	}
 }
 
+// release takes tj off the machine: it returns the job's booking, or its
+// lapsed weight, to its nodes, drops it from their job lists and from the
+// running set, and marks it gone for compact.
+func (t *TimeShared) release(tj *TSJob) {
+	delete(t.running, tj.Job)
+	t.engine.Cancel(tj.lapseEv)
+	tj.lapseEv = sim.Event{}
+	for _, n := range tj.Nodes {
+		nd := &t.nodes[n]
+		if tj.lapsed {
+			nd.lapsedWeight -= tj.weight()
+			if nd.lapsedWeight < 0 {
+				nd.lapsedWeight = 0
+			}
+		} else {
+			nd.booked -= tj.Share
+			if nd.booked < 0 {
+				nd.booked = 0
+			}
+		}
+		nd.removeJob(tj)
+	}
+	t.markDirty(tj.Nodes)
+	tj.gone = true
+}
+
+// compact drops the gone records from order in place, keeping the rest in
+// start order and storing only the slots that move.
+func (t *TimeShared) compact() {
+	k := 0
+	for i, tj := range t.order {
+		if tj.gone {
+			continue
+		}
+		if k != i {
+			t.order[k] = tj
+		}
+		k++
+	}
+	t.order = t.order[:k]
+}
+
+// recycle hands a released record back to Start, dropping what it refers
+// to.
+func (t *TimeShared) recycle(tj *TSJob) {
+	tj.Job, tj.done = nil, nil
+	t.free = append(t.free, tj)
+}
+
 // onCompletion retires every job whose work is done, then reschedules.
 func (t *TimeShared) onCompletion() {
 	t.next = sim.Event{}
 	t.advance()
 	finished := t.finished[:0]
-	kept := t.order[:0]
 	for _, tj := range t.order {
 		if tj.remaining <= workEps {
 			finished = append(finished, tj) //lint:allow hotalloc — reused buffer, grows only until it holds the largest retire batch
-			continue
 		}
-		kept = append(kept, tj) //lint:allow hotalloc — in-place filter; never outgrows order
 	}
-	t.order = kept
 	slices.SortStableFunc(finished, byID)
 	for _, tj := range finished {
-		delete(t.running, tj.Job)
-		t.engine.Cancel(tj.lapseEv)
-		tj.lapseEv = sim.Event{}
-		t.markDirty(tj.Nodes)
-		for _, n := range tj.Nodes {
-			if tj.lapsed {
-				t.nodes[n].lapsedWeight -= tj.weight()
-				if t.nodes[n].lapsedWeight < 0 {
-					t.nodes[n].lapsedWeight = 0
-				}
-			} else {
-				t.nodes[n].booked -= tj.Share
-				if t.nodes[n].booked < 0 {
-					t.nodes[n].booked = 0
-				}
-			}
-			t.nodes[n].removeJob(tj)
-		}
+		t.release(tj)
 	}
+	t.compact()
 	t.recompute()
 	for _, tj := range finished {
 		if tj.done != nil {
 			tj.done(tj.Job)
 		}
+	}
+	// Only now may Start reuse the records: the callbacks above read them
+	// and may start jobs themselves.
+	for _, tj := range finished {
+		t.recycle(tj)
 	}
 	clear(finished)
 	t.finished = finished[:0]

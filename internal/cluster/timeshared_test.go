@@ -453,3 +453,39 @@ func TestAdmissionQueriesDoNotAllocate(t *testing.T) {
 		t.Fatal("degenerate fixture: no candidates")
 	}
 }
+
+// Start reuses the record of a job that has left — node list, bound lapse
+// handler and all — so once the machine has retired a job, a start and its
+// completion allocate nothing. The reused record starts clean: no progress,
+// no lapse, a rate from its own nodes.
+func TestStartAndCompletionReuseRecords(t *testing.T) {
+	e := sim.NewEngine()
+	c := NewTimeShared(e, 16)
+	wide := djob(1, 8, 0, 1e12, 1e12, 0) // never finishes: every start shares its nodes
+	if err := c.Start(wide, 0.5, c.CandidateNodes(nil, 0.5)[:8], nil); err != nil {
+		t.Fatal(err)
+	}
+	j := djob(2, 4, 0, 10, 10, 15) // lapses at 15, finishes at 20 at rate 1/2
+	var cand []int
+	finished := 0
+	done := func(*workload.Job) { finished++ }
+	cycle := func() {
+		j.Submit = float64(e.Now())
+		cand = c.CandidateNodes(cand[:0], 0.5)
+		if err := c.Start(j, 0.5, cand[:j.Procs], done); err != nil {
+			t.Fatal(err)
+		}
+		if tj := c.Lookup(j); tj.Progress() != 0 || tj.Lapsed() || tj.Rate() != 0.5 {
+			t.Fatalf("cycle %d: reused record starts at progress %v lapsed %v rate %v",
+				finished, tj.Progress(), tj.Lapsed(), tj.Rate())
+		}
+		e.RunUntil(e.Now() + 30)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a start and its completion allocate %v times, want 0", allocs)
+	}
+	if finished != 102 || c.RunningCount() != 1 {
+		t.Errorf("%d completions, %d running; want 102 and the wide job", finished, c.RunningCount())
+	}
+}

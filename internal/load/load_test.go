@@ -180,7 +180,30 @@ func TestRunAgainstSelfHostedTopology(t *testing.T) {
 // ingested event count — jobs decisions plus one final per session —
 // and, absent resyncs, delivered + dropped + lag must account for every
 // sequence number.
-func TestRunRiskStreamProbe(t *testing.T) {
+func TestRunRiskStreamProbe(t *testing.T) { checkRiskStreamProbe(t) }
+
+// slowDial holds a request back before dialing.
+type slowDial struct{ d time.Duration }
+
+func (s slowDial) RoundTrip(r *http.Request) (*http.Response, error) {
+	time.Sleep(s.d) //lint:allow wallclock — the delay under test is real time
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// A subscription that dials late must still anchor before the run's first
+// decision. When the sessions could start before the anchor arrived, a
+// 5 ms dial delay lost the first decisions into the anchor on every run,
+// and delivered + dropped + lag fell short of the end sequence by exactly
+// the anchor's sequence — the intermittent "26 of 28".
+func TestRunRiskStreamProbeSlowDial(t *testing.T) {
+	saved := probeClient
+	probeClient = &http.Client{Transport: slowDial{5 * time.Millisecond}}
+	defer func() { probeClient = saved }()
+	checkRiskStreamProbe(t)
+}
+
+func checkRiskStreamProbe(t *testing.T) {
+	t.Helper()
 	url, shutdown, err := SelfHost(2)
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +252,24 @@ func TestRunRiskStreamProbe(t *testing.T) {
 	}
 }
 
+// A target that accepts the subscription but never anchors it holds the
+// probe's start back only for the wait it was given.
+func TestRiskProbeSilentTargetDoesNotHang(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/risk/stream", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	})
+	mux.HandleFunc("/v1/risk", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(`{"seq":3}`)) })
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	st := startRiskProbe(srv.URL, 20*time.Millisecond).finish(srv.Client(), srv.URL)
+	if st.Snapshots != 0 || st.StreamError != "" || st.EndSeq != 3 || st.EndLag != 3 {
+		t.Errorf("silent target: %+v, want no anchor, no error, EndSeq 3 lag 3", st)
+	}
+}
+
 // A dead target surfaces in the probe's StreamError instead of hanging
 // the run, and a run without the flag reports no stream section at all.
 func TestRiskStreamProbeErrorPaths(t *testing.T) {
@@ -269,7 +310,7 @@ func TestRiskProbeScriptedFailures(t *testing.T) {
 	}
 
 	srv := serve(func(w http.ResponseWriter) { w.WriteHeader(http.StatusTeapot) }, `{"seq":5}`)
-	st := settled(startRiskProbe(srv.URL)).finish(srv.Client(), srv.URL)
+	st := settled(startRiskProbe(srv.URL, 0)).finish(srv.Client(), srv.URL)
 	srv.Close()
 	if st.StreamError != "status 418" {
 		t.Errorf("teapot stream: error %q, want status 418", st.StreamError)
@@ -281,7 +322,7 @@ func TestRiskProbeScriptedFailures(t *testing.T) {
 	srv = serve(func(w http.ResponseWriter) {
 		w.Write([]byte("event: snapshot\ndata: {not json}\n\n"))
 	}, `{"seq":0}`)
-	st = settled(startRiskProbe(srv.URL)).finish(srv.Client(), srv.URL)
+	st = settled(startRiskProbe(srv.URL, 0)).finish(srv.Client(), srv.URL)
 	srv.Close()
 	if st.StreamError == "" || st.Snapshots != 0 {
 		t.Errorf("malformed snapshot: %+v, want a decode error before counting", st)
@@ -290,7 +331,7 @@ func TestRiskProbeScriptedFailures(t *testing.T) {
 	srv = serve(func(w http.ResponseWriter) {
 		w.Write([]byte("event: snapshot\ndata: {\"seq\":1}\n\nevent: delta\ndata: {bad}\n\n"))
 	}, `{"seq":1}`)
-	st = settled(startRiskProbe(srv.URL)).finish(srv.Client(), srv.URL)
+	st = settled(startRiskProbe(srv.URL, 0)).finish(srv.Client(), srv.URL)
 	srv.Close()
 	if st.StreamError == "" || st.Snapshots != 1 || st.Deltas != 0 {
 		t.Errorf("malformed delta: %+v, want snapshot counted then a decode error", st)
@@ -299,7 +340,7 @@ func TestRiskProbeScriptedFailures(t *testing.T) {
 	srv = serve(func(w http.ResponseWriter) {
 		w.Write([]byte("event: snapshot\ndata: {\"seq\":2}\n\n"))
 	}, `not json`)
-	st = settled(startRiskProbe(srv.URL)).finish(srv.Client(), srv.URL)
+	st = settled(startRiskProbe(srv.URL, 0)).finish(srv.Client(), srv.URL)
 	srv.Close()
 	if st.StreamError == "" || st.EndSeq != 0 {
 		t.Errorf("garbage settle: %+v, want a decode error and no EndSeq", st)

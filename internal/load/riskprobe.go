@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
+	"time"
 
 	"repro/internal/streamrisk"
 )
@@ -35,24 +37,38 @@ type riskProbe struct {
 	result chan RiskStreamStats
 }
 
+// probeClient dials the risk stream. It has no timeout: the run's Client
+// carries an overall request timeout that would sever a long-lived SSE
+// stream mid-run; the probe's lifetime is bounded by its context instead.
+var probeClient = &http.Client{}
+
 // startRiskProbe subscribes to the target's risk stream and consumes it
 // until stopped, tracking sequence continuity. The probe is a normal slow
 // consumer: it never blocks the engine, it just observes what the fan-out
-// delivered. It dials with its own timeout-free client — the run's Client
-// carries an overall request timeout that would sever a long-lived SSE
-// stream mid-run; the probe's lifetime is bounded by its context instead.
-func startRiskProbe(target string) *riskProbe {
+// delivered.
+//
+// It returns once the anchor snapshot, or an error, has arrived, so the
+// anchor precedes every decision the run causes and the deltas account
+// for the whole sequence space the run produces. A target that accepts the
+// subscription but sends no anchor within wait (0: no limit) does not hold
+// the run back any longer.
+func startRiskProbe(target string, wait time.Duration) *riskProbe {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &riskProbe{stop: cancel, result: make(chan RiskStreamStats, 1)}
+	anchored := make(chan struct{})
 	go func() {
 		var st RiskStreamStats
-		defer func() { p.result <- st }()
+		anchor := sync.OnceFunc(func() { close(anchored) })
+		defer func() {
+			anchor()
+			p.result <- st
+		}()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, target+"/v1/risk/stream", nil)
 		if err != nil {
 			st.StreamError = err.Error()
 			return
 		}
-		resp, err := (&http.Client{}).Do(req)
+		resp, err := probeClient.Do(req)
 		if err != nil {
 			if ctx.Err() == nil {
 				st.StreamError = err.Error()
@@ -88,6 +104,7 @@ func startRiskProbe(target string) *riskProbe {
 				if snap.Seq > st.LastSeq {
 					st.LastSeq = snap.Seq
 				}
+				anchor()
 			case streamrisk.EventDelta:
 				var d streamrisk.Delta
 				if err := json.Unmarshal(ev.Data, &d); err != nil {
@@ -104,6 +121,16 @@ func startRiskProbe(target string) *riskProbe {
 			}
 		}
 	}()
+	var timeout <-chan time.Time
+	if wait > 0 {
+		timer := time.NewTimer(wait) //lint:allow wallclock — bounds how long a silent target can delay the run
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	select {
+	case <-anchored:
+	case <-timeout:
+	}
 	return p
 }
 

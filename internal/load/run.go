@@ -154,7 +154,7 @@ func Run(cfg Config) (Result, error) {
 	}}
 	var probe *riskProbe
 	if cfg.RiskStream {
-		probe = startRiskProbe(cfg.Target)
+		probe = startRiskProbe(cfg.Target, cfg.Client.Timeout)
 	}
 	var late atomic.Int64
 	var wg sync.WaitGroup

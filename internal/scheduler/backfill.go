@@ -220,14 +220,16 @@ func (b *backfillPolicy) onFinish(j *workload.Job) {
 // One admission check per job per pass suffices because admission is
 // pure. Write-offs interleave with starts rather than all preceding them;
 // the collector records outcomes per job, so the order between jobs is not
-// observable.
+// observable. The jobs that stay are compacted in place, and a slot is
+// stored only when its job moves: most passes keep most of the queue where
+// it was.
 func (b *backfillPolicy) schedule() {
 	now := float64(b.ctx.Engine.Now())
 	g := gateAt(b.ctx, now)
-	kept := b.queue[:0]
+	k := 0
 	blocked := false
 	var reservation float64
-	for _, j := range b.queue {
+	for i, j := range b.queue {
 		if b.admission && !g.admits(j) {
 			writeOff(b.ctx.Collector, j, now)
 			continue
@@ -245,7 +247,10 @@ func (b *backfillPolicy) schedule() {
 			b.start(j)
 			continue
 		}
-		kept = append(kept, j)
+		if k != i {
+			b.queue[k] = j
+		}
+		k++
 	}
-	b.queue = kept
+	b.queue = b.queue[:k]
 }

@@ -49,6 +49,9 @@ type libraPolicy struct {
 	// candidates and prices are per-submit scratch buffers.
 	candidates []int
 	prices     []float64
+	// done is onFinish bound once, so an accepted job creates no method
+	// value.
+	done func(*workload.Job)
 
 	// terminate enables the preemptive extension: a job still running at
 	// its deadline is killed, freeing capacity (the SLA is already lost).
@@ -89,7 +92,7 @@ func newLibra(ctx *Context, v libraVariant, name string) Policy {
 	if len(ctx.NodeRatings) == ctx.Nodes && ctx.Nodes > 0 {
 		ts = cluster.NewTimeSharedRated(ctx.Engine, ctx.NodeRatings)
 	}
-	return &libraPolicy{
+	l := &libraPolicy{
 		ctx:     ctx,
 		ts:      ts,
 		variant: v,
@@ -100,6 +103,8 @@ func newLibra(ctx *Context, v libraVariant, name string) Policy {
 		beta:    economy.DefaultBeta,
 		charge:  make(map[*workload.Job]float64),
 	}
+	l.done = l.onFinish
+	return l
 }
 
 func (l *libraPolicy) Name() string { return l.name }
@@ -224,7 +229,7 @@ func (l *libraPolicy) Submit(j *workload.Job) {
 	now := float64(l.ctx.Engine.Now())
 	l.ctx.Collector.Accepted(j)
 	l.ctx.Collector.Started(j, now)
-	if err := l.ts.Start(j, share, nodes, l.onFinish); err != nil {
+	if err := l.ts.Start(j, share, nodes, l.done); err != nil {
 		panic(err) // candidates were verified to hold the share
 	}
 	if l.terminate {

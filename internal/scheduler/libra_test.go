@@ -365,3 +365,49 @@ func TestLibraTerminateImprovesLateJobOutcomes(t *testing.T) {
 		t.Errorf("LibraT fulfilled %d collapsed vs Libra %d", term.SLAFulfilled, plain.SLAFulfilled)
 	}
 }
+
+// An accepted submit allocates nothing once the machine has seen as many
+// jobs come and go: the completion callback is bound once, and the
+// time-shared cluster reuses the records (node list and lapse handler
+// included) of jobs that have left.
+func TestLibraAcceptedSubmitDoesNotAllocate(t *testing.T) {
+	const nodes, warm, runs = 16, 128, 100 // warm > runs: AllocsPerRun adds a warm-up run
+	for _, tc := range []struct {
+		factory Factory
+		model   economy.Model
+	}{
+		{NewLibra, economy.Commodity},
+		{NewLibraDollar, economy.Commodity},
+		{NewLibraRiskD, economy.BidBased},
+	} {
+		ctx := testContext(tc.model, nodes)
+		p := tc.factory(ctx)
+		id := 0
+		batch := func(n int) []*workload.Job {
+			jobs := make([]*workload.Job, n)
+			for i := range jobs {
+				id++
+				// Share 0.04 on 1–2 nodes: all of a batch fits at once.
+				jobs[i] = qjob(id, 1+id%2, float64(ctx.Engine.Now()), 40, 40, 1000, 1e9, 0)
+				ctx.Collector.Submitted(jobs[i])
+			}
+			return jobs
+		}
+		for _, j := range batch(warm) {
+			p.Submit(j)
+		}
+		ctx.Engine.Run() // every warm-up job completes and frees its record
+		jobs := batch(runs + 1)
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			p.Submit(jobs[next])
+			next++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: an accepted submit allocates %v times, want 0", p.Name(), allocs)
+		}
+		if rep := ctx.Collector.Report(); rep.Accepted != warm+next {
+			t.Errorf("%s: %d of %d jobs accepted, want all", p.Name(), rep.Accepted, warm+next)
+		}
+	}
+}
