@@ -98,7 +98,7 @@ OUT ?= BENCH_local.json
 bench-capture:
 	$(GO) run ./cmd/benchjson -config short -suite -out $(OUT)
 
-OLD ?= BENCH_PR15.json
+OLD ?= BENCH_PR16.json
 NEW ?= BENCH_local.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)

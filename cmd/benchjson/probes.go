@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"net/http"
 	"testing"
 
 	"repro/internal/cluster"
@@ -40,6 +42,7 @@ func probes(config string) []probe {
 		{"cluster/spaceshared-earliest/nodes=128", probeSpaceSharedEarliest},
 		{"scheduler/easy-queue/depth=512", probeEasyQueue},
 		{"serve/risk-stream/subs=4", probeRiskStreamIngest},
+		{"serve/risk-read/scopes=11", probeRiskRead},
 		{"suite/commodity-small/jobs=150", probeSuiteSmall},
 		{"suite/replicated-cells/reps=4", probeSuiteReplicated},
 		{"suite/federated/clusters=4", probeSuiteFederated},
@@ -375,17 +378,7 @@ func probeRiskStreamIngest(b *testing.B) {
 		}
 	}
 	h := obs.SessionHeader{ID: "probe", Policy: "Libra", Model: "commodity"}
-	var g lcg = 19
-	decisions := make([]obs.SessionDecision, 256)
-	for i := range decisions {
-		runtime := 20 + g.float()*200
-		decisions[i] = obs.SessionDecision{
-			Job: i + 1, Submit: float64(i), Runtime: runtime, Estimate: runtime,
-			Procs: 1 + int(g.next()%4), Deadline: runtime * (0.8 + g.float()),
-			Budget: 50 + g.float()*100, PenaltyRate: g.float(),
-			HighUrgency: g.next()%4 == 0, Admission: "accepted", Quote: 10 + g.float()*50,
-		}
-	}
+	decisions := probeDecisions(19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.JournalDecision(h, decisions[i%len(decisions)])
@@ -398,6 +391,85 @@ func probeRiskStreamIngest(b *testing.B) {
 		b.Fatalf("engine ingested %d events, want %d", snap.Seq, b.N)
 	}
 }
+
+// probeDecisions returns 256 accepted journal decisions with spread-out
+// runtimes, deadlines, budgets and quotes.
+func probeDecisions(g lcg) []obs.SessionDecision {
+	decisions := make([]obs.SessionDecision, 256)
+	for i := range decisions {
+		runtime := 20 + g.float()*200
+		decisions[i] = obs.SessionDecision{
+			Job: i + 1, Submit: float64(i), Runtime: runtime, Estimate: runtime,
+			Procs: 1 + int(g.next()%4), Deadline: runtime * (0.8 + g.float()),
+			Budget: 50 + g.float()*100, PenaltyRate: g.float(),
+			HighUrgency: g.next()%4 == 0, Admission: "accepted", Quote: 10 + g.float()*50,
+		}
+	}
+	return decisions
+}
+
+// probeRiskRead measures one GET /v1/risk through
+// streamrisk.SnapshotHandler at the fleet-observe shape: 7 policy scopes
+// (every Table V policy), 2 cluster scopes, 1 resident session and the
+// global scope. Each op folds one decision into the resident session and
+// then reads, as the fleet's caller reads after every submit; the body
+// goes to a ResponseWriter that counts and discards it. bytes/read is the
+// body size of one read at the start state, an exact count.
+func probeRiskRead(b *testing.B) {
+	b.ReportAllocs()
+	e := streamrisk.NewEngine(streamrisk.Config{})
+	decisions := probeDecisions(23)
+	var live obs.SessionHeader
+	for i, spec := range scheduler.Specs() {
+		e.ForgetSession(live.ID) // the previous session has ended
+		live = obs.SessionHeader{ID: fmt.Sprintf("s-%d", i+1), Policy: spec.Name, Model: [2]string{"commodity", "bid"}[i%2]}
+		for _, d := range decisions[:32] {
+			e.JournalDecision(live, d)
+		}
+	}
+	if snap := e.Snapshot(); len(snap.Policies) != 7 || len(snap.Clusters) != 2 || len(snap.Sessions) != 1 {
+		b.Fatalf("probe engine holds %d policy, %d cluster and %d session scopes, want 7, 2 and 1",
+			len(snap.Policies), len(snap.Clusters), len(snap.Sessions))
+	}
+	read := streamrisk.SnapshotHandler(e)
+	req, err := http.NewRequest(http.MethodGet, "/v1/risk", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &discardResponse{header: http.Header{}}
+	read(w, req)
+	if w.status != 0 {
+		b.Fatalf("GET /v1/risk answered %d", w.status)
+	}
+	first := w.n
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.JournalDecision(live, decisions[i%len(decisions)])
+		read(w, req)
+	}
+	b.StopTimer()
+	if w.status != 0 {
+		b.Fatalf("GET /v1/risk answered %d", w.status)
+	}
+	b.ReportMetric(float64(first), "bytes/read")
+}
+
+// discardResponse is an http.ResponseWriter that counts the body bytes
+// and drops them; status stays 0 unless the handler sets one explicitly.
+type discardResponse struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+func (d *discardResponse) WriteHeader(status int) { d.status = status }
 
 // probeSuiteSmall runs one full (12 scenarios × 6 values × 5 policies)
 // commodity Set B suite at 150 jobs per cell — the end-to-end shape of the

@@ -228,8 +228,8 @@ func (p *Plane) DrainWorker(name string) error {
 	}
 	url := w.url
 	p.mu.Unlock()
-	// Best-effort: a worker that does not answer is handled by the release
-	// fallback inside moveRoute.
+	// Best-effort: a worker that does not answer is handled by the
+	// shadow-journal fallback inside moveRoute.
 	p.do(http.MethodPost, url+"/worker/v1/drain", nil)
 	p.evacuate(name)
 	return nil
@@ -317,14 +317,18 @@ func (p *Plane) evacuate(name string) {
 }
 
 // moveRoute migrates one session to dst, caller holding r.mu. The source
-// is asked to release (export + forget) the session; if it cannot answer,
-// the plane's shadow journal stands in — replay determinism makes the two
-// byte-equivalent. The destination rebuilds the session by replay and
-// refuses anything that is not bit-identical.
+// keeps the session until the destination holds it: the plane reads the
+// source's journal (the shadow journal stands in if the source does not
+// answer — replay determinism makes the two byte-equivalent), imports it
+// on the destination, which rebuilds the session by replay and refuses
+// anything that is not bit-identical, and only after the destination's
+// 201 asks the source to release its copy. A failed import leaves the
+// route, and the session, where they were.
 func (p *Plane) moveRoute(r *route, dst string) error {
 	journal := r.shadow.Bytes()
-	if srcURL, ok := p.workerURL(r.worker); ok {
-		if st, body, err := p.do(http.MethodPost, srcURL+"/worker/v1/sessions/"+r.id+"/release", nil); err == nil && st == http.StatusOK {
+	srcURL, srcKnown := p.workerURL(r.worker)
+	if srcKnown {
+		if st, body, err := p.do(http.MethodGet, srcURL+"/v1/sessions/"+r.id+"/journal", nil); err == nil && st == http.StatusOK {
 			journal = body
 		}
 	}
@@ -338,6 +342,11 @@ func (p *Plane) moveRoute(r *route, dst string) error {
 	}
 	if st != http.StatusCreated {
 		return fmt.Errorf("control: importing session %s on %s: %s", r.id, dst, body)
+	}
+	if srcKnown {
+		// Best-effort: the destination owns the session now. A live source
+		// that misses the release keeps an unfenced copy.
+		p.do(http.MethodPost, srcURL+"/worker/v1/sessions/"+r.id+"/release", nil)
 	}
 	r.worker = dst
 	p.vars.migrations.Add(1)

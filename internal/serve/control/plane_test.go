@@ -428,3 +428,57 @@ func TestPlaneValidation(t *testing.T) {
 		t.Errorf("report after delete: status %d, want 404", w.Code)
 	}
 }
+
+// A failed move must not lose the session. The plane imports on the
+// destination before it releases the source, so when the destination
+// refuses the import, the session keeps answering on its old owner and
+// finishes with the bytes of an uninterrupted standalone run.
+func TestPlaneFailedMoveKeepsSession(t *testing.T) {
+	p := New(Config{})
+	h := p.Handler()
+	w1 := newWorker(t)
+	inner := serve.New(serve.Config{}).Handler()
+	w2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/worker/v1/sessions/import" {
+			http.Error(w, "import refused", http.StatusInternalServerError)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(w2.Close)
+	for i, url := range []string{w1.URL, w2.URL} {
+		mustDo(t, h, http.MethodPost, "/control/v1/workers",
+			RegisterWorkerRequest{Name: fmt.Sprintf("w-%d", i+1), URL: url}, http.StatusCreated, nil)
+	}
+
+	create := serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"}
+	jobs := testTrace(t, 20, 61)
+	var id string
+	for i := 0; i < 16 && id == ""; i++ {
+		if cand := createSession(t, p, create); ownerOf(t, p, cand) == "w-1" {
+			id = cand
+		}
+	}
+	if id == "" {
+		t.Fatal("the ring placed no session on w-1")
+	}
+	for _, j := range jobs[:10] {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+
+	if err := p.DrainWorker("w-1"); err != nil {
+		t.Fatal(err)
+	}
+	if owner := ownerOf(t, p, id); owner != "w-1" {
+		t.Fatalf("session %s routed to %s after a refused import, want it left on w-1", id, owner)
+	}
+	mustDo(t, h, http.MethodGet, "/v1/sessions/"+id+"/report", nil, http.StatusOK, nil)
+	for _, j := range jobs[10:] {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+	_, jr := finishSession(t, h, id)
+	_, jrRef := referenceRun(t, id, create, jobs)
+	if !bytes.Equal(jr, jrRef) {
+		t.Errorf("session %s: journal after a failed move diverged from the uninterrupted run:\ngot:\n%s\nwant:\n%s", id, jr, jrRef)
+	}
+}

@@ -303,3 +303,29 @@ func TestRiskStreamSubscriberLimit(t *testing.T) {
 		t.Fatalf("second subscriber: %d, want 503", resp2.StatusCode)
 	}
 }
+
+// Finite client values can overflow the engine's float64 sums: two
+// accepted bid-based submits at budget 1e308 take budget_sum (and, with
+// it, the quote sum) to +Inf, which JSON cannot represent. GET /v1/risk
+// must then answer 500 with the encoder's error — not a 200 whose body is
+// empty because the encoder failed after the status went out.
+func TestRiskSnapshotOverflowAnswers500(t *testing.T) {
+	h := New(Config{}).Handler()
+	var cr CreateSessionResponse
+	mustDo(t, h, http.MethodPost, "/v1/sessions", CreateSessionRequest{Policy: "Libra", Model: "bid"}, http.StatusCreated, &cr)
+	for i := 0; i < 2; i++ {
+		var sr SubmitJobResponse
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs",
+			SubmitJobRequest{Runtime: 100, Deadline: 1000, Budget: 1e308}, http.StatusOK, &sr)
+		if sr.Admission == "rejected" {
+			t.Fatalf("submit %d rejected; the overflow needs accepted jobs", i+1)
+		}
+	}
+	w := do(t, h, http.MethodGet, "/v1/risk", nil)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("GET /v1/risk after an overflowing sum: status %d with %d body bytes, want 500", w.Code, w.Body.Len())
+	}
+	if !bytes.Contains(w.Body.Bytes(), []byte("unsupported value: +Inf")) {
+		t.Errorf("500 body does not carry the encoder's error: %q", w.Body)
+	}
+}

@@ -2,11 +2,12 @@ package streamrisk
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // The SSE protocol both risk daemons speak (riskserved per worker, riskctl
@@ -28,14 +29,49 @@ const (
 	EventResync   = "resync"
 )
 
-// WriteEvent writes one SSE frame: the event name and the JSON-encoded
-// payload.
+// WriteEvent writes one SSE frame: the event name and the payload, a
+// Snapshot or a Delta, as compact JSON (the bytes json.Marshal produces).
 func WriteEvent(w io.Writer, event string, payload any) error {
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("streamrisk: encoding %s event: %w", event, err)
+	var enc encoder
+	switch p := payload.(type) {
+	case Snapshot:
+		enc.snapshotEvent(event, &p)
+	case Delta:
+		enc.deltaEvent(event, &p)
+	default:
+		return fmt.Errorf("streamrisk: %s event payload is a %T, not a Snapshot or a Delta", event, payload)
 	}
-	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
+	return enc.writeEvent(w, event)
+}
+
+// snapshotEvent replaces e's buffer with one SSE frame carrying s.
+func (e *encoder) snapshotEvent(event string, s *Snapshot) {
+	e.eventHead(event)
+	e.snapshot(s)
+	e.buf = append(e.buf, "\n\n"...)
+}
+
+// deltaEvent replaces e's buffer with one SSE frame carrying d.
+func (e *encoder) deltaEvent(event string, d *Delta) {
+	e.eventHead(event)
+	e.delta(d)
+	e.buf = append(e.buf, "\n\n"...)
+}
+
+func (e *encoder) eventHead(event string) {
+	e.reset()
+	e.buf = append(e.buf, "event: "...)
+	e.buf = append(e.buf, event...)
+	e.buf = append(e.buf, "\ndata: "...)
+}
+
+// writeEvent sends the frame in e's buffer, or the error that kept it from
+// being encoded.
+func (e *encoder) writeEvent(w io.Writer, event string) error {
+	if e.err != nil {
+		return fmt.Errorf("streamrisk: encoding %s event: %w", event, e.err)
+	}
+	if _, err := w.Write(e.buf); err != nil {
 		return fmt.Errorf("streamrisk: writing %s event: %w", event, err)
 	}
 	return nil
@@ -145,27 +181,41 @@ func (f filter) apply(snap Snapshot) Snapshot {
 	return snap
 }
 
-// SnapshotHandler serves the pull view: the engine snapshot as JSON,
-// narrowed by optional ?session= / ?policy= query parameters. Mounted at
-// GET /v1/risk by riskserved and riskctl.
+// SnapshotHandler serves the pull view: the engine snapshot as compact
+// JSON, narrowed by optional ?session= / ?policy= query parameters.
+// Mounted at GET /v1/risk by riskserved and riskctl. The body is encoded
+// before the status is written, so a snapshot JSON cannot represent (a sum
+// overflowed to ±Inf) answers 500 with the encoder's error, never a 200
+// with an empty body.
 func SnapshotHandler(e *Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := filterFromQuery(r).apply(e.Snapshot())
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snap); err != nil {
-			// The header is gone; nothing to do but drop the connection.
+		enc := encoders.Get().(*encoder)
+		defer encoders.Put(enc)
+		enc.reset()
+		enc.snapshot(&snap)
+		if enc.err != nil {
+			http.Error(w, "streamrisk: encoding snapshot: "+enc.err.Error(), http.StatusInternalServerError)
 			return
 		}
+		enc.buf = append(enc.buf, '\n')
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(enc.buf)))
+		w.Write(enc.buf) //lint:allow errignore — the status is sent; a failed body write is the client's disconnect
 	}
 }
+
+// encoders holds SnapshotHandler's buffers between reads; a buffer sized
+// by one read serves the next without growing.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
 
 // StreamHandler serves the SSE view: snapshot-on-subscribe, then deltas,
 // with a fresh resync snapshot whenever this subscriber's buffer dropped
 // deltas. Mounted at GET /v1/risk/stream. The handler holds no engine or
 // store locks while writing, so a slow or stalled consumer never blocks
-// admission — it just drops and resyncs.
+// admission — it just drops and resyncs. Every frame of one connection is
+// encoded into the same buffer.
 func StreamHandler(e *Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		fl, ok := w.(http.Flusher)
@@ -184,10 +234,19 @@ func StreamHandler(e *Engine) http.HandlerFunc {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")
 		w.WriteHeader(http.StatusOK)
-		if err := WriteEvent(w, EventSnapshot, fil.apply(sub.Snapshot())); err != nil {
+		var enc encoder
+		send := func(event string) bool {
+			if err := enc.writeEvent(w, event); err != nil {
+				return false
+			}
+			fl.Flush()
+			return true
+		}
+		snap := fil.apply(sub.Snapshot())
+		enc.snapshotEvent(EventSnapshot, &snap)
+		if !send(EventSnapshot) {
 			return
 		}
-		fl.Flush()
 
 		for {
 			select {
@@ -197,19 +256,20 @@ func StreamHandler(e *Engine) http.HandlerFunc {
 				if sub.TakeDropped() {
 					// Deltas were lost on our buffer; d may be stale relative
 					// to what was dropped. Re-anchor with a fresh snapshot.
-					if err := WriteEvent(w, EventResync, fil.apply(e.Snapshot())); err != nil {
+					snap := fil.apply(e.Snapshot())
+					enc.snapshotEvent(EventResync, &snap)
+					if !send(EventResync) {
 						return
 					}
-					fl.Flush()
 					continue
 				}
 				if !fil.wantsDelta(d) {
 					continue
 				}
-				if err := WriteEvent(w, EventDelta, d); err != nil {
+				enc.deltaEvent(EventDelta, &d)
+				if !send(EventDelta) {
 					return
 				}
-				fl.Flush()
 			}
 		}
 	}
