@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test riskperf-check race race-hot cover cover-check bench bench-capture bench-diff bench-gate doc-check fuzz fuzz-sim fuzz-broker results examples clean verify lint fmt-check serve-smoke stream-smoke slo
+.PHONY: all build vet test riskperf-check race race-hot cover cover-check bench bench-capture bench-diff bench-gate doc-check fuzz fuzz-sim fuzz-broker fuzz-journal results examples clean verify lint fmt-check serve-smoke stream-smoke slo
 
 all: build vet test
 
@@ -163,6 +163,11 @@ fuzz-sim:
 # reimplementation (adversarial quotes: NaN, ±Inf, subnormals).
 fuzz-broker:
 	$(GO) test ./internal/broker/ -run FuzzBrokerRoute -fuzz FuzzBrokerRoute -fuzztime 30s
+
+# Short fuzz of the session-journal grammar the control plane trusts when
+# it keeps a worker's journal lines verbatim as its shadow.
+fuzz-journal:
+	$(GO) test ./internal/obs/ -run FuzzSessionJournal -fuzz FuzzSessionJournal -fuzztime 30s
 
 # The paper-scale evaluation: 2880 simulations, a few minutes.
 results:

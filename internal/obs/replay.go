@@ -3,8 +3,9 @@ package obs
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
+
+	"repro/internal/metrics"
 )
 
 // SessionRecord is a parsed session journal: the header, every decision in
@@ -22,72 +23,47 @@ type SessionRecord struct {
 // Finalized reports whether the journal carried a final report line.
 func (r *SessionRecord) Finalized() bool { return r.Final != nil }
 
-// journalKind peeks at one line's kind tag.
-type journalKind struct {
-	Kind string `json:"kind"`
-}
-
 // ParseSessionJournal parses NDJSON session-journal bytes back into a
-// SessionRecord. The format is strict — exactly one "session" header line
-// first, then zero or more "decision" lines, then at most one "final" line
-// with nothing after it — so a truncated or interleaved journal fails
-// loudly instead of replaying into a silently different session.
+// SessionRecord, line by line through OpenSessionJournal and Append. The
+// format is strict — exactly one "session" header line first, then zero or
+// more "decision" lines, then at most one "final" line with nothing after
+// it — so a truncated or interleaved journal fails loudly instead of
+// replaying into a silently different session.
 func ParseSessionJournal(b []byte) (*SessionRecord, error) {
 	sc := bufio.NewScanner(bytes.NewReader(b))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	rec := &SessionRecord{}
-	n := 0
+	var j *SessionJournal
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			return nil, fmt.Errorf("obs: session journal line %d is empty", n+1)
+		var err error
+		if j == nil {
+			if j, err = OpenSessionJournal(sc.Bytes()); err == nil {
+				j.Observe(recorder{rec})
+			}
+		} else {
+			err = j.Append(sc.Bytes())
 		}
-		var k journalKind
-		if err := json.Unmarshal(line, &k); err != nil {
-			return nil, fmt.Errorf("obs: session journal line %d: %w", n+1, err)
+		if err != nil {
+			return nil, err
 		}
-		switch k.Kind {
-		case "session":
-			if n != 0 {
-				return nil, fmt.Errorf("obs: session journal line %d: header after line 1", n+1)
-			}
-			if err := json.Unmarshal(line, &rec.Header); err != nil {
-				return nil, fmt.Errorf("obs: session journal header: %w", err)
-			}
-		case "decision":
-			if n == 0 {
-				return nil, fmt.Errorf("obs: session journal starts with a decision line, want the session header")
-			}
-			if rec.Final != nil {
-				return nil, fmt.Errorf("obs: session journal line %d: decision after the final report", n+1)
-			}
-			var d SessionDecision
-			if err := json.Unmarshal(line, &d); err != nil {
-				return nil, fmt.Errorf("obs: session journal line %d: %w", n+1, err)
-			}
-			rec.Decisions = append(rec.Decisions, d)
-		case "final":
-			if n == 0 {
-				return nil, fmt.Errorf("obs: session journal starts with a final line, want the session header")
-			}
-			if rec.Final != nil {
-				return nil, fmt.Errorf("obs: session journal line %d: second final report", n+1)
-			}
-			var f SessionFinal
-			if err := json.Unmarshal(line, &f); err != nil {
-				return nil, fmt.Errorf("obs: session journal line %d: %w", n+1, err)
-			}
-			rec.Final = &f
-		default:
-			return nil, fmt.Errorf("obs: session journal line %d: unknown kind %q", n+1, k.Kind)
-		}
-		n++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: scanning session journal: %w", err)
 	}
-	if n == 0 {
+	if j == nil {
 		return nil, fmt.Errorf("obs: empty session journal")
 	}
+	rec.Header = j.Header()
 	return rec, nil
+}
+
+// recorder is the observer that collects a parsed journal into its record.
+type recorder struct{ rec *SessionRecord }
+
+func (r recorder) JournalDecision(_ SessionHeader, d SessionDecision) {
+	r.rec.Decisions = append(r.rec.Decisions, d)
+}
+
+func (r recorder) JournalFinal(_ SessionHeader, rep metrics.Report) {
+	r.rec.Final = &SessionFinal{Kind: "final", Report: rep}
 }

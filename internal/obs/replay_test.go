@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -98,4 +99,66 @@ func TestParseSessionJournalRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSessionJournal fuzzes the journal grammar a control plane trusts
+// when it keeps a worker's lines verbatim. ParseSessionJournal must never
+// panic, and any journal it accepts, rebuilt from the parsed record, must
+// append line by line through OpenSessionJournal and Append to the same
+// bytes.
+func FuzzSessionJournal(f *testing.F) {
+	// The TestParseSessionJournalRejectsMalformed table, plus well-formed
+	// journals for the fuzzer to mutate.
+	header := `{"kind":"session","id":"s-1","policy":"Libra","model":"commodity","nodes":8,"base_price":1}`
+	decision := `{"kind":"decision","job":1,"submit":0,"runtime":1,"estimate":1,"procs":1,"deadline":2,"budget":3,"admission":"accepted","quote":1}`
+	final := `{"kind":"final","report":{}}`
+	for _, seed := range []string{
+		"",
+		header + "\n\n",
+		decision + "\n",
+		final + "\n",
+		header + "\n" + header + "\n",
+		header + "\n" + final + "\n" + decision + "\n",
+		header + "\n" + final + "\n" + final + "\n",
+		header + "\n" + `{"kind":"gossip"}` + "\n",
+		header + "\n" + "not json\n",
+		header + "\n" + decision + "\n" + final[:len(final)-9],
+		header + "\n" + decision[:len(decision)/2] + "\n",
+		header + "\n" + decision + "\n" + "<<torn write>>\n" + decision + "\n",
+		header + "\n" + decision + "\n" + header + "\n",
+		header + "\n" + decision + "\n" + final + "\n",
+		string(buildJournal(3, false).Bytes()),
+		string(buildJournal(2, true).Bytes()),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rec, err := ParseSessionJournal(b)
+		if err != nil {
+			return
+		}
+		rb := NewSessionJournal(rec.Header)
+		for _, d := range rec.Decisions {
+			rb.Decision(d)
+		}
+		if rec.Final != nil {
+			rb.Final(rec.Final.Report)
+		}
+		if err := rb.Err(); err != nil {
+			t.Fatalf("rebuilding a parsed journal: %v", err)
+		}
+		lines := bytes.Split(bytes.TrimSuffix(rb.Bytes(), []byte("\n")), []byte("\n"))
+		kept, err := OpenSessionJournal(lines[0])
+		if err != nil {
+			t.Fatalf("opening the rebuilt header %q: %v", lines[0], err)
+		}
+		for _, line := range lines[1:] {
+			if err := kept.Append(line); err != nil {
+				t.Fatalf("appending the rebuilt line %q: %v", line, err)
+			}
+		}
+		if !bytes.Equal(kept.Bytes(), rb.Bytes()) {
+			t.Fatalf("kept journal differs from the rebuilt one:\n%s\nvs\n%s", kept.Bytes(), rb.Bytes())
+		}
+	})
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/metrics"
 )
@@ -61,13 +62,19 @@ type SessionFinal struct {
 // no iteration-order dependence — so two sessions fed the same scripted
 // requests produce byte-identical journals.
 //
+// The session's worker authors its journal (NewSessionJournal, Decision,
+// Final); a copy is kept from the authored lines (OpenSessionJournal,
+// Append), which hold the journal's line rules.
+//
 // A SessionJournal is not safe for concurrent use; the serve layer guards
 // it with the owning session's mutex.
 type SessionJournal struct {
-	buf    bytes.Buffer
-	header SessionHeader
-	obs    SessionObserver
-	err    error // first marshal/append error, reported by Err
+	buf       bytes.Buffer
+	header    SessionHeader
+	obs       SessionObserver
+	lines     int   // lines appended, the header included
+	finalized bool  // the final report line is in
+	err       error // first marshal error, reported by Err
 }
 
 // SessionObserver receives journal events synchronously as they are
@@ -89,7 +96,7 @@ type SessionObserver interface {
 func NewSessionJournal(h SessionHeader) *SessionJournal {
 	h.Kind = "session"
 	j := &SessionJournal{header: h}
-	j.appendLine(h)
+	j.marshal(h)
 	return j
 }
 
@@ -101,34 +108,123 @@ func (j *SessionJournal) Header() SessionHeader { return j.header }
 // observer first (see serve's session import).
 func (j *SessionJournal) Observe(o SessionObserver) { j.obs = o }
 
-// Decision appends one submission's decision line. The Kind field is
-// stamped.
-func (j *SessionJournal) Decision(d SessionDecision) {
+// Decision appends one submission's decision line and returns the line as
+// written, without its newline (nil if it could not be marshaled; see Err).
+// The Kind field is stamped.
+func (j *SessionJournal) Decision(d SessionDecision) []byte {
 	d.Kind = "decision"
-	j.appendLine(d)
+	line := j.marshal(d)
+	j.decided(d)
+	return line
+}
+
+// Final appends the finalized report line and returns it as Decision does.
+// The Kind field is stamped.
+func (j *SessionJournal) Final(r metrics.Report) []byte {
+	line := j.marshal(SessionFinal{Kind: "final", Report: r})
+	j.settled(r)
+	return line
+}
+
+// Finalized reports whether the journal took its final report.
+func (j *SessionJournal) Finalized() bool { return j.finalized }
+
+// OpenSessionJournal starts a journal from a header line another journal
+// wrote, kept verbatim; Append adds the lines that follow it.
+func OpenSessionJournal(headerLine []byte) (*SessionJournal, error) {
+	j := &SessionJournal{}
+	if err := j.decode(headerLine, &j.header); err != nil {
+		return nil, err
+	}
+	if j.header.Kind != "session" {
+		return nil, fmt.Errorf("obs: session journal starts with a %s line, want the session header", j.header.Kind)
+	}
+	j.write(headerLine)
+	return j, nil
+}
+
+// entry is a decision or final line, decoded once: Kind says which.
+type entry struct {
+	SessionDecision
+	Report metrics.Report `json:"report"`
+}
+
+// Append adds one decision or final line another journal wrote, verbatim
+// — the control plane keeps a worker's lines this way, as its shadow —
+// decoding it once for the observer. A line out of journal order (a second
+// header, anything after the final report) is refused and leaves the
+// journal as it was.
+func (j *SessionJournal) Append(line []byte) error {
+	var e entry
+	if err := j.decode(line, &e); err != nil {
+		return err
+	}
+	switch n := j.lines + 1; {
+	case e.Kind == "session":
+		return fmt.Errorf("obs: session journal line %d: header after line 1", n)
+	case e.Kind != "decision" && e.Kind != "final":
+		return fmt.Errorf("obs: session journal line %d: unknown kind %q", n, e.Kind)
+	case j.finalized && e.Kind == "decision":
+		return fmt.Errorf("obs: session journal line %d: decision after the final report", n)
+	case j.finalized:
+		return fmt.Errorf("obs: session journal line %d: second final report", n)
+	}
+	j.write(line)
+	if e.Kind == "decision" {
+		j.decided(e.SessionDecision)
+	} else {
+		j.settled(e.Report)
+	}
+	return nil
+}
+
+// decode decodes the journal's next line into v, refusing a blank line
+// and a line break inside the line.
+func (j *SessionJournal) decode(line []byte, v any) error {
+	n := j.lines + 1
+	if len(bytes.TrimSpace(line)) == 0 {
+		return fmt.Errorf("obs: session journal line %d is empty", n)
+	}
+	if bytes.IndexByte(line, '\n') >= 0 {
+		return fmt.Errorf("obs: session journal line %d holds a line break", n)
+	}
+	if err := json.Unmarshal(line, v); err != nil {
+		return fmt.Errorf("obs: session journal line %d: %w", n, err)
+	}
+	return nil
+}
+
+func (j *SessionJournal) decided(d SessionDecision) {
 	if j.obs != nil {
 		j.obs.JournalDecision(j.header, d)
 	}
 }
 
-// Final appends the finalized report line. The Kind field is stamped.
-func (j *SessionJournal) Final(r metrics.Report) {
-	j.appendLine(SessionFinal{Kind: "final", Report: r})
+func (j *SessionJournal) settled(r metrics.Report) {
+	j.finalized = true
 	if j.obs != nil {
 		j.obs.JournalFinal(j.header, r)
 	}
 }
 
-func (j *SessionJournal) appendLine(v any) {
+// marshal appends v as one line and returns the line. A value JSON cannot
+// represent appends nothing; the first such error is kept for Err.
+func (j *SessionJournal) marshal(v any) []byte {
 	line, err := json.Marshal(v)
 	if err != nil {
 		if j.err == nil {
 			j.err = err
 		}
-		return
+		return nil
 	}
+	j.write(line)
+	return line
+}
+
+func (j *SessionJournal) write(line []byte) {
 	j.buf.Write(line)     //lint:allow errignore — bytes.Buffer.Write is documented to always return a nil error
 	j.buf.WriteByte('\n') //lint:allow errignore — bytes.Buffer.WriteByte is documented to always return a nil error
+	j.lines++
 }
 
 // Bytes returns the journal so far as JSONL. The returned slice aliases the

@@ -101,30 +101,44 @@ type ImportSessionResponse struct {
 // header plus one short line per submission; 64 MiB is ~100k decisions.
 const maxJournalBytes = 64 << 20
 
+// MaxRequestBytes bounds every other request body, on a worker and on the
+// control plane in front of it.
+const MaxRequestBytes = 1 << 20
+
+// JournalLineHeader names the response header in which a create, submit or
+// finalize returns the journal line it appended, as written. The control
+// plane keeps those lines verbatim as its shadow of the session's journal.
+const JournalLineHeader = "Journal-Line"
+
 // errorResponse is the JSON error envelope every non-2xx response carries.
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v with the given status. Encoding failures are
-// unrecoverable mid-response; the status line is already out.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v with the given status. v is encoded before anything
+// is sent, so a value JSON cannot represent (a non-finite float) answers
+// 500 with the encoder's error instead of an empty success.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure
+	w.Write(append(b, '\n')) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure
 }
 
-// writeError writes the JSON error envelope.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError writes the JSON error envelope.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// readJSON strictly decodes the request body into v: unknown fields and
+// ReadJSON strictly decodes the request body into v: unknown fields and
 // trailing garbage are errors, so a mistyped field name fails loudly
 // instead of silently falling back to a default.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+func ReadJSON(r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err

@@ -1,10 +1,6 @@
 package control
 
-import (
-	"encoding/json"
-	"fmt"
-	"net/http"
-)
+import "net/http"
 
 // RegisterWorkerRequest announces a worker to the control plane. Name is
 // the worker's stable identity (its ring member key); URL is the base URL
@@ -43,38 +39,17 @@ type HealthResponse struct {
 // largest (matching the worker-side import bound).
 const maxBodyBytes = 64 << 20
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// readJSON strictly decodes the request body, as the worker API does:
-// unknown fields and trailing garbage fail loudly.
-func readJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON body")
-	}
-	return nil
+// reply is one worker answer read in full: its status, its body, and the
+// journal line it appended, if any (serve.JournalLineHeader).
+type reply struct {
+	status int
+	body   []byte
+	line   []byte
 }
 
 // proxy relays a worker's verbatim status and body to the client.
-func proxy(w http.ResponseWriter, status int, body []byte) {
+func proxy(w http.ResponseWriter, rep reply) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure
+	w.WriteHeader(rep.status)
+	w.Write(rep.body) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure
 }

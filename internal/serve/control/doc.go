@@ -10,17 +10,17 @@
 // worker before it stops, and a health prober declares unresponsive
 // workers dead.
 //
-// Sessions move between workers as journal bytes. For planned moves
-// (drain, rebalance after a join) the source worker releases the session —
-// exporting its journal and forgetting it — and the destination rebuilds
-// it by deterministic replay (serve.ImportSession), which refuses any
-// journal whose replay is not bit-identical. For crashes there is no
-// source to ask, so the plane maintains a shadow journal per session,
-// reconstructed from the request/response pairs it forwarded; recovery
-// imports the shadow onto a new owner. Replay determinism makes the two
-// paths equivalent: either way the rebuilt session is byte-for-byte the
-// session the client was talking to, so a migration can never change an
-// observable byte.
+// Sessions move between workers as journal bytes. The plane keeps a
+// shadow journal per session: the worker's own journal lines, kept
+// verbatim as each create, submit and finalize returns the line it
+// appended (serve.JournalLineHeader). A planned move (drain, rebalance
+// after a join) imports the shadow on the destination, which rebuilds the
+// session by deterministic replay (serve.ImportSession) and refuses any
+// journal whose replay is not bit-identical, and then releases the source;
+// a crash recovery imports the shadow onto a new owner. Either way the
+// rebuilt session is byte-for-byte the session the client was talking to,
+// so a migration can never change an observable byte. A worker success
+// the shadow cannot record is answered 502, never passed on.
 //
 // Lock discipline: plane.mu guards the worker registry, the ring, and the
 // route table, and is never held across worker I/O. Each route (one per

@@ -3,6 +3,7 @@ package control
 import (
 	"bytes"
 	"context"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/serve/ring"
 	"repro/internal/streamrisk"
 )
@@ -60,17 +62,18 @@ type worker struct {
 }
 
 // route is one session's placement: its current owner and the shadow
-// journal the plane reconstructs from forwarded request/response pairs.
-// mu serializes the session's forwarded requests (held across the worker
-// round-trip on purpose — that is what keeps the shadow in request
-// order); see the package comment for the lock discipline.
+// journal — the owner's own journal lines, kept verbatim as each create,
+// submit and finalize returns them. A move imports the shadow on the
+// destination and then releases the source. mu serializes the session's
+// forwarded requests (held across the worker round-trip on purpose — that
+// is what keeps the shadow in request order); see the package comment for
+// the lock discipline.
 type route struct {
 	id string
 
-	mu        sync.Mutex
-	worker    string
-	shadow    *obs.SessionJournal
-	finalized bool
+	mu     sync.Mutex
+	worker string
+	shadow *obs.SessionJournal
 }
 
 // Plane is the control plane: the worker registry, the consistent-hash
@@ -133,29 +136,29 @@ func (p *Plane) Sessions() int {
 	return len(p.routes)
 }
 
-// do issues one worker request and reads the full response body.
-func (p *Plane) do(method, url string, body []byte) (int, []byte, error) {
+// do issues one worker request and reads the full response.
+func (p *Plane) do(method, url string, body []byte) (reply, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := p.cfg.Client.Do(req)
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
-		return 0, nil, err
+		return reply{}, err
 	}
-	return resp.StatusCode, out, nil
+	return reply{status: resp.StatusCode, body: out, line: []byte(resp.Header.Get(serve.JournalLineHeader))}, nil
 }
 
 // Register adds (or revives) a worker and rebalances: every session whose
@@ -228,8 +231,8 @@ func (p *Plane) DrainWorker(name string) error {
 	}
 	url := w.url
 	p.mu.Unlock()
-	// Best-effort: a worker that does not answer is handled by the
-	// shadow-journal fallback inside moveRoute.
+	// Best-effort: the moves below import the shadow journal, so they do
+	// not need the worker to answer.
 	p.do(http.MethodPost, url+"/worker/v1/drain", nil)
 	p.evacuate(name)
 	return nil
@@ -316,39 +319,21 @@ func (p *Plane) evacuate(name string) {
 	}
 }
 
-// moveRoute migrates one session to dst, caller holding r.mu. The source
-// keeps the session until the destination holds it: the plane reads the
-// source's journal (the shadow journal stands in if the source does not
-// answer — replay determinism makes the two byte-equivalent), imports it
-// on the destination, which rebuilds the session by replay and refuses
-// anything that is not bit-identical, and only after the destination's
-// 201 asks the source to release its copy. A failed import leaves the
-// route, and the session, where they were.
+// moveRoute migrates one session to dst, caller holding r.mu: the shadow
+// journal is imported on the destination, which rebuilds the session by
+// replay and refuses anything that is not bit-identical, and only after
+// the destination's 201 is the source asked to release its copy. A failed
+// import leaves the route, and the session, where they were.
 func (p *Plane) moveRoute(r *route, dst string) error {
-	journal := r.shadow.Bytes()
-	srcURL, srcKnown := p.workerURL(r.worker)
-	if srcKnown {
-		if st, body, err := p.do(http.MethodGet, srcURL+"/v1/sessions/"+r.id+"/journal", nil); err == nil && st == http.StatusOK {
-			journal = body
-		}
+	src := r.worker
+	if err := p.importShadow(r, dst); err != nil {
+		return fmt.Errorf("control: importing session %s on %s: %w", r.id, dst, err)
 	}
-	dstURL, ok := p.workerURL(dst)
-	if !ok {
-		return fmt.Errorf("control: destination worker %q unknown", dst)
-	}
-	st, body, err := p.do(http.MethodPost, dstURL+"/worker/v1/sessions/import", journal)
-	if err != nil {
-		return err
-	}
-	if st != http.StatusCreated {
-		return fmt.Errorf("control: importing session %s on %s: %s", r.id, dst, body)
-	}
-	if srcKnown {
+	if url, ok := p.workerURL(src); ok {
 		// Best-effort: the destination owns the session now. A live source
 		// that misses the release keeps an unfenced copy.
-		p.do(http.MethodPost, srcURL+"/worker/v1/sessions/"+r.id+"/release", nil)
+		p.do(http.MethodPost, url+"/worker/v1/sessions/"+r.id+"/release", nil)
 	}
-	r.worker = dst
 	p.vars.migrations.Add(1)
 	return nil
 }
@@ -362,35 +347,51 @@ func (p *Plane) recoverRoute(r *route) error {
 	if dst == "" {
 		return fmt.Errorf("control: no healthy workers to recover session %s onto", r.id)
 	}
-	dstURL, _ := p.workerURL(dst)
-	st, body, err := p.do(http.MethodPost, dstURL+"/worker/v1/sessions/import", r.shadow.Bytes())
-	if err != nil {
+	if err := p.importShadow(r, dst); err != nil {
 		return fmt.Errorf("control: recovering session %s onto %s: %w", r.id, dst, err)
 	}
-	if st != http.StatusCreated {
-		return fmt.Errorf("control: recovering session %s onto %s: %s", r.id, dst, body)
+	p.vars.recoveries.Add(1)
+	return nil
+}
+
+// importShadow rebuilds the session on dst from its shadow journal and
+// routes it there. Caller holds r.mu.
+func (p *Plane) importShadow(r *route, dst string) error {
+	url, ok := p.workerURL(dst)
+	if !ok {
+		return fmt.Errorf("worker %q unknown", dst)
+	}
+	rep, err := p.do(http.MethodPost, url+"/worker/v1/sessions/import", r.shadow.Bytes())
+	if err != nil {
+		return err
+	}
+	if rep.status != http.StatusCreated {
+		return errors.New(string(rep.body))
 	}
 	r.worker = dst
-	p.vars.recoveries.Add(1)
 	return nil
 }
 
 // forward proxies one session-scoped request to the session's current
 // worker, recovering the session onto a new owner (and retrying once) if
-// the worker does not answer. Caller holds r.mu.
-func (p *Plane) forward(r *route, method, path string, body []byte) (int, []byte, error) {
+// the worker does not answer. When none answers it writes the 503 itself
+// and reports false. Caller holds rt.mu.
+func (p *Plane) forward(w http.ResponseWriter, rt *route, r *http.Request, body []byte) (reply, bool) {
 	for attempt := 0; ; attempt++ {
-		if url, ok := p.workerURL(r.worker); ok {
-			st, out, err := p.do(method, url+path, body)
-			if err == nil {
-				return st, out, nil
+		if url, ok := p.workerURL(rt.worker); ok {
+			if rep, err := p.do(r.Method, url+r.URL.Path, body); err == nil {
+				return rep, true
 			}
 		}
-		if attempt >= 1 {
-			return 0, nil, fmt.Errorf("control: session %s unreachable after recovery", r.id)
+		var err error
+		if attempt == 0 {
+			err = p.recoverRoute(rt)
+		} else {
+			err = fmt.Errorf("control: session %s unreachable after recovery", rt.id)
 		}
-		if err := p.recoverRoute(r); err != nil {
-			return 0, nil, err
+		if err != nil {
+			serve.WriteError(w, http.StatusServiceUnavailable, "%v", err)
+			return reply{}, false
 		}
 	}
 }
@@ -444,8 +445,8 @@ func (p *Plane) ProbeOnce() []string {
 
 	var dead []string
 	for _, t := range targets {
-		st, _, err := p.do(http.MethodGet, t.url+"/healthz", nil)
-		ok := err == nil && st == http.StatusOK
+		rep, err := p.do(http.MethodGet, t.url+"/healthz", nil)
+		ok := err == nil && rep.status == http.StatusOK
 		p.mu.Lock()
 		w, known := p.workers[t.name]
 		if !known {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/qos"
@@ -480,5 +481,152 @@ func TestPlaneFailedMoveKeepsSession(t *testing.T) {
 	_, jrRef := referenceRun(t, id, create, jobs)
 	if !bytes.Equal(jr, jrRef) {
 		t.Errorf("session %s: journal after a failed move diverged from the uninterrupted run:\ngot:\n%s\nwant:\n%s", id, jr, jrRef)
+	}
+}
+
+// countingTransport records every worker request the plane sends, as
+// "METHOD path".
+type countingTransport struct {
+	mu   sync.Mutex
+	reqs []string
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.reqs = append(c.reqs, r.Method+" "+r.URL.Path)
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// take returns the requests recorded since the last take.
+func (c *countingTransport) take() []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	reqs := c.reqs
+	c.reqs = nil
+	return reqs
+}
+
+// The worker round trips behind each plane operation: the create, each
+// submit and the finalize are one request apiece (the worker answers with
+// the journal line the shadow keeps), and a drain move is two, import
+// then release (the shadow is what gets imported).
+func TestPlaneWorkerRequestCounts(t *testing.T) {
+	ct := &countingTransport{}
+	p := New(Config{Client: &http.Client{Transport: ct}})
+	h := p.Handler()
+	for i := 1; i <= 2; i++ {
+		mustDo(t, h, http.MethodPost, "/control/v1/workers",
+			RegisterWorkerRequest{Name: fmt.Sprintf("w-%d", i), URL: newWorker(t).URL}, http.StatusCreated, nil)
+	}
+	ct.take()
+	expect := func(op string, want ...string) {
+		t.Helper()
+		if got := ct.take(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: worker requests %q, want %q", op, got, want)
+		}
+	}
+	jobs := testTrace(t, 3, 17)
+	ids := make([]string, 6)
+	for i := range ids {
+		ids[i] = createSession(t, p, serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"})
+		expect("create", "POST /v1/sessions")
+		path := "/v1/sessions/" + ids[i] + "/jobs"
+		mustDo(t, h, http.MethodPost, path, submitReq(jobs[0]), http.StatusOK, nil)
+		expect("submit", "POST "+path)
+	}
+	path := "/v1/sessions/" + ids[0] + "/finalize"
+	mustDo(t, h, http.MethodPost, path, nil, http.StatusOK, nil)
+	expect("finalize", "POST "+path)
+
+	victim := ownerOf(t, p, ids[0])
+	want := []string{"POST /worker/v1/drain"}
+	for _, id := range ids { // the drain moves sessions in ID order
+		if ownerOf(t, p, id) == victim {
+			want = append(want, "POST /worker/v1/sessions/import", "POST /worker/v1/sessions/"+id+"/release")
+		}
+	}
+	if err := p.DrainWorker(victim); err != nil {
+		t.Fatal(err)
+	}
+	expect("drain", want...)
+}
+
+// A worker's success the shadow cannot record is never passed on. A
+// stub worker answers every create 201 and every other request 200 with
+// the Journal-Line each step sets; a missing line, a line the shadow
+// refuses, or a header line naming another session gets the client a
+// 502, leaves the shadow as it was, and registers no route.
+func TestPlaneRefusesUnrecordedSuccess(t *testing.T) {
+	var mu sync.Mutex
+	var line string
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		if line != "" {
+			w.Header().Set(serve.JournalLineHeader, line)
+		}
+		mu.Unlock()
+		status := http.StatusOK
+		if r.URL.Path == "/v1/sessions" {
+			status = http.StatusCreated
+		}
+		w.WriteHeader(status)
+		w.Write([]byte("{}\n"))
+	}))
+	t.Cleanup(stub.Close)
+	p := New(Config{})
+	if err := p.Register("stub", stub.URL); err != nil {
+		t.Fatal(err)
+	}
+	header := func(id string) string {
+		return `{"kind":"session","id":"` + id + `","policy":"Libra","model":"commodity","nodes":8,"base_price":1}`
+	}
+	decision := `{"kind":"decision","job":1,"submit":0,"runtime":1,"estimate":1,"procs":1,"deadline":2,"budget":3,"admission":"accepted","quote":1}`
+	final := `{"kind":"final","report":{}}`
+	create, submit, finalize := "/v1/sessions", "/v1/sessions/s-4/jobs", "/v1/sessions/s-4/finalize"
+	steps := []struct {
+		name, path, line string
+		want             int
+	}{
+		{"create without a line", create, "", http.StatusBadGateway}, // s-1
+		{"create with a decision line", create, decision, http.StatusBadGateway},
+		{"create naming another session", create, header("s-99"), http.StatusBadGateway},
+		{"create", create, header("s-4"), http.StatusCreated},
+		{"submit without a line", submit, "", http.StatusBadGateway},
+		{"submit with a line that is not JSON", submit, "not json", http.StatusBadGateway},
+		{"submit with a second header", submit, header("s-4"), http.StatusBadGateway},
+		{"submit", submit, decision, http.StatusOK},
+		{"finalize without a line", finalize, "", http.StatusBadGateway},
+		{"finalize", finalize, final, http.StatusOK},
+		{"finalize again", finalize, "", http.StatusOK},
+		{"submit after the final report", submit, decision, http.StatusBadGateway},
+	}
+	var want []byte
+	for _, st := range steps {
+		mu.Lock()
+		line = st.line
+		mu.Unlock()
+		var body any
+		if st.path == create {
+			body = serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"}
+		}
+		if w := do(t, p.Handler(), http.MethodPost, st.path, body); w.Code != st.want {
+			t.Fatalf("%s: status %d, want %d: %s", st.name, w.Code, st.want, w.Body)
+		}
+		if st.want != http.StatusBadGateway && st.line != "" {
+			want = append(want, st.line+"\n"...)
+		}
+		if len(want) == 0 {
+			if got := p.Sessions(); got != 0 {
+				t.Fatalf("%s: %d routes registered, want none", st.name, got)
+			}
+			continue
+		}
+		p.mu.Lock()
+		shadow := p.routes["s-4"].shadow
+		p.mu.Unlock()
+		if !bytes.Equal(shadow.Bytes(), want) {
+			t.Errorf("%s: shadow\n%s\nwant\n%s", st.name, shadow.Bytes(), want)
+		}
 	}
 }

@@ -31,12 +31,7 @@ func (s *Server) ImportSession(journal []byte) (string, error) {
 	if rec.Header.ID == "" {
 		return "", fmt.Errorf("serve: imported journal header has no session ID")
 	}
-	driver, header, err := buildDriver(sessionParams{
-		Policy: rec.Header.Policy, Model: rec.Header.Model,
-		Nodes: rec.Header.Nodes, BasePrice: rec.Header.BasePrice,
-		Seed: rec.Header.Seed, FaultIntensity: rec.Header.FaultIntensity,
-		FaultHorizon: rec.Header.FaultHorizon,
-	})
+	driver, header, err := buildDriver(rec.Header)
 	if err != nil {
 		return "", fmt.Errorf("serve: importing session %s: %w", rec.Header.ID, err)
 	}
@@ -53,20 +48,13 @@ func (s *Server) ImportSession(journal []byte) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("serve: replaying session %s job %d: %w", rec.Header.ID, d.Job, err)
 		}
-		replayed.Decision(obs.SessionDecision{
-			Job: j.ID, Submit: j.Submit, Runtime: j.Runtime, Estimate: j.Estimate,
-			Procs: j.Procs, Deadline: j.Deadline, Budget: j.Budget, PenaltyRate: j.PenaltyRate,
-			HighUrgency: j.HighUrgency,
-			Admission:   dec.Admission.String(), Quote: dec.Quote,
-		})
+		replayed.Decision(decisionLine(j, dec))
 		if j.ID >= nextJob {
 			nextJob = j.ID + 1
 		}
 	}
-	finalLogged := false
 	if rec.Final != nil {
 		replayed.Final(driver.Finalize())
-		finalLogged = true
 	}
 	if err := replayed.Err(); err != nil {
 		return "", fmt.Errorf("serve: replaying session %s: %w", rec.Header.ID, err)
@@ -83,7 +71,7 @@ func (s *Server) ImportSession(journal []byte) (string, error) {
 	// the replayed history (those events really were ingested here).
 	s.stream.IngestRecord(rec)
 	replayed.Observe(s.stream)
-	if _, err := s.store.insert(header.ID, driver, replayed, nextJob, finalLogged); err != nil {
+	if _, err := s.store.insert(header.ID, driver, replayed, nextJob); err != nil {
 		s.stream.ForgetSession(header.ID)
 		return "", err
 	}

@@ -328,4 +328,15 @@ func TestRiskSnapshotOverflowAnswers500(t *testing.T) {
 	if !bytes.Contains(w.Body.Bytes(), []byte("unsupported value: +Inf")) {
 		t.Errorf("500 body does not carry the encoder's error: %q", w.Body)
 	}
+	// The session's own report overflows too; its readers get the same 500
+	// rather than an empty 200.
+	for _, probe := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/sessions/" + cr.ID + "/report"},
+		{http.MethodPost, "/v1/sessions/" + cr.ID + "/finalize"},
+	} {
+		w := do(t, h, probe.method, probe.path, nil)
+		if w.Code != http.StatusInternalServerError || !bytes.Contains(w.Body.Bytes(), []byte("unsupported value")) {
+			t.Errorf("%s %s after an overflowing sum: status %d, body %q; want 500 with the encoder's error", probe.method, probe.path, w.Code, w.Body)
+		}
+	}
 }

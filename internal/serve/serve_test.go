@@ -39,7 +39,7 @@ func do(t *testing.T, h http.Handler, method, path string, body any) *httptest.R
 }
 
 // mustDo is do plus a status assertion and a JSON decode of the response.
-func mustDo(t *testing.T, h http.Handler, method, path string, body any, wantStatus int, out any) {
+func mustDo(t *testing.T, h http.Handler, method, path string, body any, wantStatus int, out any) *httptest.ResponseRecorder {
 	t.Helper()
 	w := do(t, h, method, path, body)
 	if w.Code != wantStatus {
@@ -50,6 +50,7 @@ func mustDo(t *testing.T, h http.Handler, method, path string, body any, wantSta
 			t.Fatalf("%s %s: decoding response: %v", method, path, err)
 		}
 	}
+	return w
 }
 
 // testTrace synthesizes a small QoS workload for scripted sessions.
@@ -77,14 +78,20 @@ func submitReq(j *workload.Job) SubmitJobRequest {
 }
 
 // driveSession runs one scripted session — create, submit every job,
-// finalize — and returns the final report body and the journal body.
+// finalize — and returns the final report body and the journal body. The
+// Journal-Line values of the create, the submits and the finalize, one a
+// line, must add up to the journal byte for byte.
 func driveSession(t *testing.T, h http.Handler, create CreateSessionRequest, jobs []*workload.Job) (report, journal []byte) {
 	t.Helper()
+	var lines bytes.Buffer
+	line := func(w *httptest.ResponseRecorder) {
+		lines.WriteString(w.Header().Get(JournalLineHeader) + "\n")
+	}
 	var cr CreateSessionResponse
-	mustDo(t, h, http.MethodPost, "/v1/sessions", create, http.StatusCreated, &cr)
+	line(mustDo(t, h, http.MethodPost, "/v1/sessions", create, http.StatusCreated, &cr))
 	for i, j := range jobs {
 		var sr SubmitJobResponse
-		mustDo(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs", submitReq(j), http.StatusOK, &sr)
+		line(mustDo(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs", submitReq(j), http.StatusOK, &sr))
 		if sr.Job != j.ID {
 			t.Fatalf("job %d echoed as %d", j.ID, sr.Job)
 		}
@@ -96,9 +103,13 @@ func driveSession(t *testing.T, h http.Handler, create CreateSessionRequest, job
 	if fin.Code != http.StatusOK {
 		t.Fatalf("finalize: status %d: %s", fin.Code, fin.Body)
 	}
+	line(fin)
 	jw := do(t, h, http.MethodGet, "/v1/sessions/"+cr.ID+"/journal", nil)
 	if jw.Code != http.StatusOK {
 		t.Fatalf("journal: status %d: %s", jw.Code, jw.Body)
+	}
+	if !bytes.Equal(lines.Bytes(), jw.Body.Bytes()) {
+		t.Errorf("Journal-Line values differ from the journal:\nlines:\n%s\njournal:\n%s", lines.Bytes(), jw.Body)
 	}
 	mustDo(t, h, http.MethodDelete, "/v1/sessions/"+cr.ID, nil, http.StatusOK, nil)
 	return fin.Body.Bytes(), jw.Body.Bytes()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"expvar"
@@ -162,7 +163,7 @@ func (s *Server) limited(h http.HandlerFunc) http.Handler {
 		default:
 			s.vars.requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "server at its concurrency limit; retry shortly")
+			WriteError(w, http.StatusServiceUnavailable, "server at its concurrency limit; retry shortly")
 		}
 	})
 }
@@ -171,7 +172,7 @@ func (s *Server) limited(h http.HandlerFunc) http.Handler {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:      "ok",
 		Sessions:    s.store.size(),
 		MaxSessions: s.cfg.MaxSessions,
@@ -179,22 +180,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// sessionParams is the resolved parameterization shared by the create
-// handler and the import replay path.
-type sessionParams struct {
-	Policy, Model  string
-	Nodes          int
-	BasePrice      float64
-	Seed           int64
-	FaultIntensity string
-	FaultHorizon   float64
-}
-
-// buildDriver validates the parameters and constructs the step-driven
-// simulation plus the journal header describing it. Defaults (128 nodes,
-// the paper's base price) are applied here so the create and import paths
-// resolve identically.
-func buildDriver(p sessionParams) (*scheduler.Session, obs.SessionHeader, error) {
+// buildDriver validates the requested parameterization — a create's, or
+// an imported journal's header — and constructs the step-driven simulation
+// plus the journal header describing it. Defaults (128 nodes, the paper's
+// base price) are applied here so the create and import paths resolve
+// identically.
+func buildDriver(p obs.SessionHeader) (*scheduler.Session, obs.SessionHeader, error) {
 	m, err := registry.ParseModel(p.Model)
 	if err != nil {
 		return nil, obs.SessionHeader{}, err
@@ -243,20 +234,20 @@ func buildDriver(p sessionParams) (*scheduler.Session, obs.SessionHeader, error)
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "worker is draining; no new sessions")
+		WriteError(w, http.StatusServiceUnavailable, "worker is draining; no new sessions")
 		return
 	}
 	var req CreateSessionRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := ReadJSON(r, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	driver, header, err := buildDriver(sessionParams{
+	driver, header, err := buildDriver(obs.SessionHeader{
 		Policy: req.Policy, Model: req.Model, Nodes: req.Nodes, BasePrice: req.BasePrice,
 		Seed: req.Seed, FaultIntensity: req.FaultIntensity, FaultHorizon: req.FaultHorizon,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	header.ID = req.ID
@@ -265,22 +256,23 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	journal := obs.NewSessionJournal(header)
 	journal.Observe(s.stream)
-	sess, err := s.store.insert(header.ID, driver, journal, 1, false)
+	sess, err := s.store.insert(header.ID, driver, journal, 1)
 	if err != nil {
 		switch {
 		case errors.Is(err, errFull):
 			s.vars.requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
+			WriteError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
 		case errors.Is(err, errExists):
-			writeError(w, http.StatusConflict, "session %q already live on this worker", header.ID)
+			WriteError(w, http.StatusConflict, "session %q already live on this worker", header.ID)
 		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
 	s.vars.sessionsCreated.Add(1)
-	writeJSON(w, http.StatusCreated, CreateSessionResponse{
+	w.Header().Set(JournalLineHeader, string(bytes.TrimSuffix(journal.Bytes(), []byte("\n"))))
+	WriteJSON(w, http.StatusCreated, CreateSessionResponse{
 		ID: sess.id, Policy: header.Policy, Model: header.Model,
 		Nodes: header.Nodes, BasePrice: header.BasePrice,
 	})
@@ -293,7 +285,7 @@ func (s *Server) getSession(w http.ResponseWriter, r *http.Request) (*session, b
 	id := r.PathValue("id")
 	sess, ok := s.store.get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown session %q", id)
+		WriteError(w, http.StatusNotFound, "unknown session %q", id)
 	}
 	return sess, ok
 }
@@ -305,16 +297,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.store.release(sess)
 	var req SubmitJobRequest
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if err := ReadJSON(r, &req); err != nil {
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if req.Submit != 0 && req.Advance != 0 {
-		writeError(w, http.StatusBadRequest, "set submit or advance, not both")
+		WriteError(w, http.StatusBadRequest, "set submit or advance, not both")
 		return
 	}
 	if req.Submit < 0 || req.Advance < 0 {
-		writeError(w, http.StatusBadRequest, "submit and advance must be non-negative")
+		WriteError(w, http.StatusBadRequest, "submit and advance must be non-negative")
 		return
 	}
 	sess.mu.Lock()
@@ -342,22 +334,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if sess.driver.Finalized() {
 			status = http.StatusConflict
 		}
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	if j.ID >= sess.nextJob {
 		sess.nextJob = j.ID + 1
 	}
-	sess.journal.Decision(obs.SessionDecision{
-		Job: j.ID, Submit: j.Submit, Runtime: j.Runtime, Estimate: j.Estimate,
-		Procs: j.Procs, Deadline: j.Deadline, Budget: j.Budget, PenaltyRate: j.PenaltyRate,
-		HighUrgency: j.HighUrgency,
-		Admission:   d.Admission.String(), Quote: d.Quote,
-	})
+	w.Header().Set(JournalLineHeader, string(sess.journal.Decision(decisionLine(j, d))))
 	s.vars.jobsSubmitted.Add(1)
-	writeJSON(w, http.StatusOK, SubmitJobResponse{
+	WriteJSON(w, http.StatusOK, SubmitJobResponse{
 		Job: j.ID, Admission: d.Admission.String(), Quote: d.Quote, Now: sess.driver.Now(),
 	})
+}
+
+// decisionLine is the journal line of one submitted job and its answer,
+// for a live submit and for an import's replay alike.
+func decisionLine(j *workload.Job, d scheduler.Decision) obs.SessionDecision {
+	return obs.SessionDecision{
+		Job: j.ID, Submit: j.Submit, Runtime: j.Runtime, Estimate: j.Estimate,
+		Procs: j.Procs, Deadline: j.Deadline, Budget: j.Budget, PenaltyRate: j.PenaltyRate,
+		HighUrgency: j.HighUrgency, Admission: d.Admission.String(), Quote: d.Quote,
+	}
 }
 
 // riskScores extracts the raw per-objective risk-analysis inputs from a
@@ -386,7 +383,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	defer s.store.release(sess)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.reportResponse(sess, sess.driver.Snapshot()))
+	WriteJSON(w, http.StatusOK, s.reportResponse(sess, sess.driver.Snapshot()))
 }
 
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
@@ -398,7 +395,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if err := sess.journal.Err(); err != nil {
-		writeError(w, http.StatusInternalServerError, "journal: %v", err)
+		WriteError(w, http.StatusInternalServerError, "journal: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -406,12 +403,11 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 }
 
 // finalizeLocked drains the session and appends the journal's final line
-// exactly once. Callers hold sess.mu.
-func finalizeLocked(sess *session) metrics.Report {
+// exactly once, sending it as the Journal-Line. Callers hold sess.mu.
+func finalizeLocked(w http.ResponseWriter, sess *session) metrics.Report {
 	rep := sess.driver.Finalize()
-	if !sess.finalLogged {
-		sess.journal.Final(rep)
-		sess.finalLogged = true
+	if !sess.journal.Finalized() {
+		w.Header().Set(JournalLineHeader, string(sess.journal.Final(rep)))
 	}
 	return rep
 }
@@ -424,7 +420,7 @@ func (s *Server) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	defer s.store.release(sess)
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, s.reportResponse(sess, finalizeLocked(sess)))
+	WriteJSON(w, http.StatusOK, s.reportResponse(sess, finalizeLocked(w, sess)))
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -434,14 +430,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.store.release(sess)
 	sess.mu.Lock()
-	rep := finalizeLocked(sess)
+	rep := finalizeLocked(w, sess)
 	resp := s.reportResponse(sess, rep)
 	sess.mu.Unlock()
 	if s.store.remove(sess.id) {
 		s.vars.sessionsEvicted.Add(1)
 		s.stream.ForgetSession(sess.id)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleImport rebuilds a migrated session from its journal bytes by
@@ -450,12 +446,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "worker is draining; no session imports")
+		WriteError(w, http.StatusServiceUnavailable, "worker is draining; no session imports")
 		return
 	}
 	journal, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJournalBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading journal body: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading journal body: %v", err)
 		return
 	}
 	id, err := s.ImportSession(journal)
@@ -464,23 +460,23 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, errFull):
 			s.vars.requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
+			WriteError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
 		case errors.Is(err, errExists):
-			writeError(w, http.StatusConflict, "%v", err)
+			WriteError(w, http.StatusConflict, "%v", err)
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
 	s.vars.sessionsImported.Add(1)
-	writeJSON(w, http.StatusCreated, ImportSessionResponse{ID: id})
+	WriteJSON(w, http.StatusCreated, ImportSessionResponse{ID: id})
 }
 
 // handleRelease hands a session off for migration: the journal bytes are
 // returned as the response body and the session is evicted WITHOUT being
-// finalized — the importing worker resumes it live, mid-stream. This is
-// the cooperative half of migration; crash recovery replays the control
-// plane's shadow journal instead.
+// finalized — the importing worker resumes it live, mid-stream. The
+// control plane releases a session once its shadow journal is imported
+// elsewhere.
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.getSession(w, r)
 	if !ok {
@@ -490,7 +486,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	if err := sess.journal.Err(); err != nil {
 		sess.mu.Unlock()
-		writeError(w, http.StatusInternalServerError, "journal: %v", err)
+		WriteError(w, http.StatusInternalServerError, "journal: %v", err)
 		return
 	}
 	journal := append([]byte(nil), sess.journal.Bytes()...)
@@ -498,7 +494,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	if !s.store.remove(sess.id) {
 		// A concurrent delete or sweep won the race; the caller must not
 		// import a journal this worker no longer owns.
-		writeError(w, http.StatusNotFound, "session %q already gone", sess.id)
+		WriteError(w, http.StatusNotFound, "session %q already gone", sess.id)
 		return
 	}
 	s.vars.sessionsReleased.Add(1)
@@ -513,7 +509,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 // deregisters it afterwards.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.draining.Store(true)
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:      "draining",
 		Sessions:    s.store.size(),
 		MaxSessions: s.cfg.MaxSessions,

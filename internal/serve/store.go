@@ -24,9 +24,6 @@ type session struct {
 	journal *obs.SessionJournal
 	// nextJob numbers submissions when the request omits an ID.
 	nextJob int
-	// finalLogged marks that the journal's final line was appended, keeping
-	// finalize idempotent at the journal level too.
-	finalLogged bool
 
 	// lastUsed is the wall-clock instant (unix nanos) of the session's last
 	// request, read by the idle sweeper. Wall time here is operator
@@ -98,18 +95,12 @@ func (st *store) allocID() string {
 // creates cannot overshoot max; an ID already live on the worker is
 // refused (a control plane re-importing a session it failed to release
 // must hear about it, not silently shadow the live copy).
-func (st *store) insert(id string, driver *scheduler.Session, journal *obs.SessionJournal, nextJob int, finalLogged bool) (*session, error) {
+func (st *store) insert(id string, driver *scheduler.Session, journal *obs.SessionJournal, nextJob int) (*session, error) {
 	if st.count.Add(1) > int64(st.max) {
 		st.count.Add(-1)
 		return nil, errFull
 	}
-	s := &session{
-		id:          id,
-		driver:      driver,
-		journal:     journal,
-		nextJob:     nextJob,
-		finalLogged: finalLogged,
-	}
+	s := &session{id: id, driver: driver, journal: journal, nextJob: nextJob}
 	s.touch(st.now())
 	sh := st.shardFor(s.id)
 	sh.mu.Lock()
