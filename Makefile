@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test riskperf-check race race-hot cover cover-check bench bench-capture bench-diff bench-gate doc-check fuzz fuzz-sim fuzz-broker fuzz-journal results examples clean verify lint fmt-check serve-smoke stream-smoke slo
+.PHONY: all build vet test riskperf-check race race-hot cover cover-check bench bench-capture bench-diff bench-gate doc-check prod-lines fuzz fuzz-sim fuzz-broker fuzz-journal results examples clean verify lint fmt-check serve-smoke stream-smoke slo
 
 all: build vet test
 
@@ -42,6 +42,12 @@ lint:
 # with a package comment. See cmd/doccheck.
 doc-check:
 	$(GO) run ./cmd/doccheck
+
+# Production Go line count: every non-test Go file under internal/ and
+# cmd/, lint fixtures excluded (the benchmark module and the examples are
+# not counted). Informational: the count should trend down.
+prod-lines:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -not -path 'internal/lint/testdata/*' | xargs cat | wc -l
 
 # The benchmark (riskperf/) is a module of its own, so the root ./...
 # skips it: vet and test it from its directory, so that an API change

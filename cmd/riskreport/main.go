@@ -17,7 +17,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/risk"
 )
@@ -48,14 +47,13 @@ func main() {
 }
 
 func report(w io.Writer, res *experiment.Results, target float64) error {
-	a := core.FromResults(res)
 	fmt.Fprintf(w, "# Risk analysis report — %s model, %s\n\n", res.Model, res.SetName)
 	fmt.Fprintf(w, "Policies: %s. Scenarios: %d (Table VI), six values each.\n\n",
 		strings.Join(res.Policies, ", "), len(res.Scenarios))
 
 	fmt.Fprintf(w, "## Separate risk analysis\n\n")
 	for _, obj := range risk.AllObjectives {
-		series, err := a.Separate(obj)
+		series, err := res.SeparateSeries(obj)
 		if err != nil {
 			return err
 		}
@@ -66,7 +64,7 @@ func report(w io.Writer, res *experiment.Results, target float64) error {
 	}
 
 	fmt.Fprintf(w, "## Integrated risk analysis (all four objectives, equal weights)\n\n")
-	series, err := a.Integrated(risk.AllObjectives...)
+	series, err := res.IntegratedSeries(risk.AllObjectives)
 	if err != nil {
 		return err
 	}
@@ -127,7 +125,7 @@ func report(w io.Writer, res *experiment.Results, target float64) error {
 
 	fmt.Fprintf(w, "## A-priori projection\n\n")
 	fmt.Fprintf(w, "Estimated probability of integrated performance below %.2f in a future scenario:\n\n", target)
-	projections, err := a.APriori(risk.AllObjectives, target)
+	projections, err := res.APriori(risk.AllObjectives, target)
 	if err != nil {
 		return err
 	}
@@ -139,7 +137,7 @@ func report(w io.Writer, res *experiment.Results, target float64) error {
 	if err != nil {
 		return err
 	}
-	rec, err := a.Recommend()
+	rec, err := res.Recommend()
 	if err != nil {
 		return err
 	}

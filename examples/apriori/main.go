@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/economy"
 	"repro/internal/experiment"
 	"repro/internal/risk"
@@ -22,11 +21,11 @@ import (
 func main() {
 	cfg := experiment.DefaultSuiteConfig(economy.BidBased, true)
 	cfg.Jobs = 800
-	assessment, err := core.Assess(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	projections, err := assessment.APriori(risk.AllObjectives, 0.6)
+	projections, err := res.APriori(risk.AllObjectives, 0.6)
 	if err != nil {
 		log.Fatal(err)
 	}

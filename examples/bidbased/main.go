@@ -14,7 +14,6 @@ import (
 	"log"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/economy"
 	"repro/internal/experiment"
 	"repro/internal/plot"
@@ -27,11 +26,11 @@ func main() {
 
 	cfg := experiment.DefaultSuiteConfig(economy.BidBased, true)
 	cfg.Jobs = 800
-	assessment, err := core.Assess(cfg)
+	res, err := experiment.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	series, err := assessment.Integrated(risk.AllObjectives...)
+	series, err := res.IntegratedSeries(risk.AllObjectives)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/economy"
 	"repro/internal/experiment"
 	"repro/internal/plot"
@@ -23,18 +22,18 @@ func main() {
 	for _, setB := range []bool{false, true} {
 		cfg := experiment.DefaultSuiteConfig(economy.Commodity, setB)
 		cfg.Jobs = 800 // keep the example fast; cmd/riskbench runs paper scale
-		assessment, err := core.Assess(cfg)
+		res, err := experiment.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		series, err := assessment.Integrated(risk.AllObjectives...)
+		series, err := res.IntegratedSeries(risk.AllObjectives)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(plot.ASCII(series, plot.Config{
 			Title: fmt.Sprintf("Integrated risk analysis, all four objectives (%s)", cfg.SetName()),
 		}))
-		rec, err := assessment.Recommend()
+		rec, err := res.Recommend()
 		if err != nil {
 			log.Fatal(err)
 		}

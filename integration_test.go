@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/economy"
 	"repro/internal/experiment"
 	"repro/internal/risk"
@@ -22,10 +21,10 @@ const integrationJobs = 400
 
 var (
 	assessMu    sync.Mutex
-	assessCache = map[string]*core.Assessment{}
+	assessCache = map[string]*experiment.Results{}
 )
 
-func assessment(t *testing.T, model economy.Model, setB bool) *core.Assessment {
+func assessment(t *testing.T, model economy.Model, setB bool) *experiment.Results {
 	t.Helper()
 	key := model.String() + map[bool]string{false: "A", true: "B"}[setB]
 	assessMu.Lock()
@@ -35,7 +34,7 @@ func assessment(t *testing.T, model economy.Model, setB bool) *core.Assessment {
 	}
 	cfg := experiment.DefaultSuiteConfig(model, setB)
 	cfg.Jobs = integrationJobs
-	a, err := core.Assess(cfg)
+	a, err := experiment.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,7 @@ func TestClaimLibraFamilyIdealWait(t *testing.T) {
 	for _, model := range []economy.Model{economy.Commodity, economy.BidBased} {
 		for _, setB := range []bool{false, true} {
 			a := assessment(t, model, setB)
-			series, err := a.Separate(risk.Wait)
+			series, err := a.SeparateSeries(risk.Wait)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +90,7 @@ func TestClaimLibraFamilyIdealWait(t *testing.T) {
 func TestClaimBackfillersIdealReliabilitySetA(t *testing.T) {
 	for _, model := range []economy.Model{economy.Commodity, economy.BidBased} {
 		a := assessment(t, model, false)
-		series, err := a.Separate(risk.Reliability)
+		series, err := a.SeparateSeries(risk.Reliability)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +126,7 @@ func TestClaimInaccuracyDegradesLibraReliability(t *testing.T) {
 func TestClaimLibraDollarTopProfitability(t *testing.T) {
 	for _, setB := range []bool{false, true} {
 		a := assessment(t, economy.Commodity, setB)
-		series, err := a.Separate(risk.Profitability)
+		series, err := a.SeparateSeries(risk.Profitability)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +167,7 @@ func TestClaimFirstRewardWorstSLA(t *testing.T) {
 // than plain Libra.
 func TestClaimLibraRiskDBestBidBasedSetB(t *testing.T) {
 	a := assessment(t, economy.BidBased, true)
-	series, err := a.Integrated(risk.AllObjectives...)
+	series, err := a.IntegratedSeries(risk.AllObjectives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestClaimLibraRiskDBestBidBasedSetB(t *testing.T) {
 // top of the bid-based integrated analysis.
 func TestClaimLibraFamilyTopBidBasedSetA(t *testing.T) {
 	a := assessment(t, economy.BidBased, false)
-	series, err := a.Integrated(risk.AllObjectives...)
+	series, err := a.IntegratedSeries(risk.AllObjectives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +266,9 @@ func mustSpec(t *testing.T, name string) scheduler.Spec {
 	return spec
 }
 
-func mustSeparate(t *testing.T, a *core.Assessment, obj risk.Objective) []risk.Series {
+func mustSeparate(t *testing.T, a *experiment.Results, obj risk.Objective) []risk.Series {
 	t.Helper()
-	series, err := a.Separate(obj)
+	series, err := a.SeparateSeries(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +293,11 @@ func TestClaimHeadlineRobustToSeeds(t *testing.T) {
 		cfg.Jobs = 300
 		cfg.TraceSeed = seed
 		cfg.QoSSeed = seed + 1
-		a, err := core.Assess(cfg)
+		a, err := experiment.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		series, err := a.Integrated(risk.AllObjectives...)
+		series, err := a.IntegratedSeries(risk.AllObjectives)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,12 +38,6 @@ type Candidate struct {
 	Risk      float64
 }
 
-// Route records one placement decision.
-type Route struct {
-	JobID   int
-	Cluster int
-}
-
 // ClusterReport is one federation member's share of a finished run.
 type ClusterReport struct {
 	Name  string
@@ -56,12 +50,11 @@ type ClusterReport struct {
 }
 
 // Result is a finished federated run: the aggregate report, the
-// per-cluster breakdown in federation order, the placement sequence, and
-// its digest.
+// per-cluster breakdown in federation order, and the digest of the
+// placement sequence.
 type Result struct {
 	Federation metrics.Report
 	Clusters   []ClusterReport
-	Routes     []Route
 	// RoutingDigest is an FNV-1a hash over the (job, cluster) placement
 	// sequence — byte equality across runs proves routing determinism
 	// without journaling every decision.
@@ -76,7 +69,6 @@ type Broker struct {
 	sessions []*scheduler.Session
 	routed   []int
 	rejected []int
-	routes   []Route
 	digest   uint64
 	maxNodes int
 	// scratch is the reusable candidate buffer of the routing loop.
@@ -87,7 +79,7 @@ type Broker struct {
 }
 
 // fnvOffset and fnvPrime are the FNV-1a constants; the digest is folded
-// incrementally per placement so Finalize never rescans the route list.
+// incrementally per placement, so no placement is kept.
 const (
 	fnvOffset uint64 = 14695981039346656037
 	fnvPrime  uint64 = 1099511628211
@@ -234,7 +226,6 @@ func (b *Broker) place(j *workload.Job, wantQuote bool) (int, scheduler.Admissio
 	if adm == scheduler.AdmissionRejected {
 		b.rejected[pick]++
 	}
-	b.routes = append(b.routes, Route{JobID: j.ID, Cluster: pick})
 	b.digest = foldRoute(b.digest, j.ID, pick)
 	return pick, adm, quote, nil
 }
@@ -321,7 +312,6 @@ func (b *Broker) Finalize() *Result {
 	}
 	res := &Result{
 		Clusters:      make([]ClusterReport, len(b.fed.Clusters)),
-		Routes:        b.routes,
 		RoutingDigest: fmt.Sprintf("%016x", b.digest),
 	}
 	for i, cs := range b.fed.Clusters {

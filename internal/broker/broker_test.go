@@ -141,9 +141,9 @@ func TestSingleClusterMatchesSchedulerRun(t *testing.T) {
 				if res.Clusters[0].Routed != len(jobs) {
 					t.Errorf("%s/%s/%s: routed %d of %d jobs", spec.Name, m, intensity, res.Clusters[0].Routed, len(jobs))
 				}
-				for _, r := range res.Routes {
-					if r.Cluster != 0 {
-						t.Fatalf("%s: job %d routed to cluster %d in a 1-cluster federation", spec.Name, r.JobID, r.Cluster)
+				for _, r := range placements(t, workload.CloneAll(jobs), fed, spec.New, RunConfig{Model: m, Faults: fcfgs}, res) {
+					if r.cluster != 0 {
+						t.Fatalf("%s: job %d routed to cluster %d in a 1-cluster federation", spec.Name, r.jobID, r.cluster)
 					}
 				}
 				if res.RoutingDigest == "" {
@@ -186,8 +186,9 @@ func TestRoutingSpreadsByAvailability(t *testing.T) {
 	}
 	// Job 1 ties everywhere and lands on east by index (rule 5). Job 2
 	// finds east occupied until t=1000 and goes west.
+	jobs := []*workload.Job{qosJob(1, 0, 8, 1000), qosJob(2, 0, 8, 1000)}
 	for i, wantCluster := range []int{0, 1} {
-		d, ci, err := b.Submit(qosJob(i+1, 0, 8, 1000))
+		d, ci, err := b.Submit(jobs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,8 +203,13 @@ func TestRoutingSpreadsByAvailability(t *testing.T) {
 	if res.Clusters[0].Routed != 1 || res.Clusters[1].Routed != 1 {
 		t.Errorf("routed %d/%d, want 1/1", res.Clusters[0].Routed, res.Clusters[1].Routed)
 	}
-	if got := len(res.Routes); got != 2 {
-		t.Errorf("%d routes recorded, want 2", got)
+	// The batch Run places the same two jobs identically.
+	run, err := Run(workload.CloneAll(jobs), fed, scheduler.NewFCFSBF, RunConfig{Model: economy.Commodity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.RoutingDigest != res.RoutingDigest {
+		t.Errorf("Run routing digest %s differs from the online broker's %s", run.RoutingDigest, res.RoutingDigest)
 	}
 }
 

@@ -18,6 +18,7 @@
 // A 1-cluster federation with neutral speed and price degenerates to the
 // plain single-cluster batch path bit for bit: the broker submits through
 // the identical quote-free scheduler.Session machinery, and the federation
-// report of a single cluster is that cluster's report verbatim. See
-// docs/architecture.md, "Federation".
+// report of a single cluster is that cluster's report verbatim. The
+// experiment suite relies on this: it runs the single machine as that
+// federation. See docs/architecture.md, "Federation".
 package broker

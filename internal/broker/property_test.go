@@ -70,7 +70,7 @@ func TestFederationPropertyBattery(t *testing.T) {
 				t.Fatalf("seed %d/%s: %v", seed, intensity, err)
 			}
 			assertConservation(t, res, len(jobs))
-			assertRoutesFit(t, fed, jobs, res)
+			assertRoutesFit(t, fed, jobs, spec.New, cfg, res)
 
 			again, err := Run(workload.CloneAll(jobs), fed, spec.New, cfg)
 			if err != nil {
@@ -104,7 +104,7 @@ func TestFederationPropertyBatteryAllPolicies(t *testing.T) {
 					t.Fatalf("%s/%s/%s: %v", spec.Name, m, intensity, err)
 				}
 				assertConservation(t, res, len(jobs))
-				assertRoutesFit(t, fed, jobs, res)
+				assertRoutesFit(t, fed, jobs, spec.New, cfg, res)
 			}
 		}
 	}
@@ -146,32 +146,63 @@ func assertConservation(t *testing.T, res *Result, jobs int) {
 	if f.TotalBudget != budget {
 		t.Errorf("budget conservation: federation budget %v != cluster sum %v", f.TotalBudget, budget)
 	}
-	if len(res.Routes) != jobs {
-		t.Errorf("%d routes for %d jobs", len(res.Routes), jobs)
-	}
 }
 
-// assertRoutesFit checks no job was placed on a cluster it cannot
-// statically fit.
-func assertRoutesFit(t *testing.T, fed Federation, jobs []*workload.Job, res *Result) {
+// assertRoutesFit checks Run placed one route per job and no job on a
+// cluster it cannot statically fit. The placements are read through the
+// online broker, whose routing digest must equal Run's.
+func assertRoutesFit(t *testing.T, fed Federation, jobs []*workload.Job, factory scheduler.Factory, cfg RunConfig, res *Result) {
 	t.Helper()
 	byID := make(map[int]*workload.Job, len(jobs))
 	for _, j := range jobs {
 		byID[j.ID] = j
 	}
-	for _, r := range res.Routes {
-		j := byID[r.JobID]
+	routes := placements(t, workload.CloneAll(jobs), fed, factory, cfg, res)
+	if len(routes) != len(jobs) {
+		t.Errorf("%d routes for %d jobs", len(routes), len(jobs))
+	}
+	for _, r := range routes {
+		j := byID[r.jobID]
 		if j == nil {
-			t.Fatalf("route for unknown job %d", r.JobID)
+			t.Fatalf("route for unknown job %d", r.jobID)
 		}
-		if r.Cluster < 0 || r.Cluster >= len(fed.Clusters) {
-			t.Fatalf("job %d routed to out-of-range cluster %d", r.JobID, r.Cluster)
+		if r.cluster < 0 || r.cluster >= len(fed.Clusters) {
+			t.Fatalf("job %d routed to out-of-range cluster %d", r.jobID, r.cluster)
 		}
-		if j.Procs > fed.Clusters[r.Cluster].Nodes {
+		if j.Procs > fed.Clusters[r.cluster].Nodes {
 			t.Errorf("job %d (width %d) routed to cluster %s (%d nodes)",
-				j.ID, j.Procs, fed.Clusters[r.Cluster].Name, fed.Clusters[r.Cluster].Nodes)
+				j.ID, j.Procs, fed.Clusters[r.cluster].Name, fed.Clusters[r.cluster].Nodes)
 		}
 	}
+}
+
+// route is one placement decision, as Broker.Submit reports it.
+type route struct {
+	jobID, cluster int
+}
+
+// placements submits jobs one by one to an online broker over fed and
+// returns each placement Submit reported. The batch Run keeps no
+// placement list; its routing digest, which folds the same (job, cluster)
+// sequence, must equal the online broker's, so the placements are Run's.
+func placements(t *testing.T, jobs []*workload.Job, fed Federation, factory scheduler.Factory, cfg RunConfig, run *Result) []route {
+	t.Helper()
+	b, err := New(fed, factory, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes := make([]route, 0, len(jobs))
+	for _, j := range jobs {
+		_, ci, err := b.Submit(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes = append(routes, route{jobID: j.ID, cluster: ci})
+	}
+	if got := b.Finalize().RoutingDigest; got != run.RoutingDigest {
+		t.Errorf("online broker routing digest %s differs from Run's %s", got, run.RoutingDigest)
+	}
+	return routes
 }
 
 // Under heavy faults a cluster can shrink below a job's width. The broker

@@ -14,7 +14,7 @@ import (
 func TestTraceCacheMemoizesPerSeed(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
 	cfg.Jobs = 50
-	cache := newTraceCache(cfg, nil)
+	cache := newTraceCache(cfg.synthConfig())
 
 	a, err := cache.get(cfg.TraceSeed + 1000)
 	if err != nil {
@@ -44,23 +44,24 @@ func TestTraceCacheMemoizesPerSeed(t *testing.T) {
 	}
 }
 
-// TestTraceCachePreSeedsBase verifies Run's replication-0 trace is served
-// from the cache rather than regenerated.
+// TestTraceCachePreSeedsBase verifies the replication-0 trace generated at
+// set-up is held in the cache and served from it rather than regenerated.
 func TestTraceCachePreSeedsBase(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
 	cfg.Jobs = 20
-	synth := workload.DefaultSynthConfig()
-	synth.Jobs = cfg.Jobs
-	base, err := workload.Generate(synth, cfg.TraceSeed)
+	b, err := newBatch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newTraceCache(cfg, base)
-	got, err := cache.get(cfg.TraceSeed)
+	base := b.cache.byTag[cfg.TraceSeed]
+	if base == nil || len(base.jobs) != cfg.Jobs {
+		t.Fatal("set-up did not generate the replication-0 trace into the cache")
+	}
+	got, err := b.cache.get(cfg.TraceSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got[0] != &base[0] {
+	if &got[0] != &base.jobs[0] {
 		t.Error("base trace was regenerated instead of served from the pre-seeded cache")
 	}
 }
@@ -71,7 +72,7 @@ func TestTraceCachePreSeedsBase(t *testing.T) {
 func TestTraceCacheConcurrentAccess(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
 	cfg.Jobs = 10
-	cache := newTraceCache(cfg, nil)
+	cache := newTraceCache(cfg.synthConfig())
 	const workers = 8
 	got := make([][]*workload.Job, workers)
 	var wg sync.WaitGroup
@@ -139,7 +140,7 @@ func TestReplicatedSuiteUnchangedByCache(t *testing.T) {
 func TestTraceCacheConcurrentSameSeed(t *testing.T) {
 	cfg := DefaultSuiteConfig(economy.Commodity, false)
 	cfg.Jobs = 10
-	cache := newTraceCache(cfg, nil)
+	cache := newTraceCache(cfg.synthConfig())
 	const workers = 32
 	seed := cfg.TraceSeed + 2*ReplicationSeedStride
 	start := make(chan struct{})

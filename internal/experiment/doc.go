@@ -32,8 +32,13 @@
 //     raw reports so later analysis (new weights, new objectives) does
 //     not re-simulate.
 //
+// Every replication runs through the federation meta-broker (broker.Run);
+// a nil [SuiteConfig.Federation] is the neutral one-cluster federation of
+// the suite's machine. [RunCell] runs one cell on the same worker pool.
+//
 // Beyond the paper's grid, the package provides series builders for the
-// risk plots ([Results.SeparateSeries], [Results.IntegratedSeries]),
-// crossover detection ([FindCrossovers]), and bootstrap ranking stability
-// ([RankFirstProbability]).
+// risk plots ([Results.SeparateSeries], [Results.IntegratedSeries]), the
+// paper's conclusion and a-priori use ([Results.Recommend],
+// [Results.APriori]), crossover detection ([FindCrossovers]), and
+// bootstrap ranking stability ([RankFirstProbability]).
 package experiment

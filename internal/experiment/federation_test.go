@@ -8,7 +8,10 @@ import (
 	"repro/internal/broker"
 	"repro/internal/economy"
 	"repro/internal/faults"
+	"repro/internal/metrics"
+	"repro/internal/qos"
 	"repro/internal/scheduler"
+	"repro/internal/workload"
 )
 
 // mustSpec resolves a policy spec by name.
@@ -39,12 +42,13 @@ func degenerateFederation(cfg SuiteConfig) *broker.Federation {
 	return &broker.Federation{Clusters: []broker.ClusterSpec{{Name: "only", Nodes: cfg.Nodes}}}
 }
 
-// The differential oracle: a 1-cluster neutral federation must reproduce
-// the plain single-cluster suite bit for bit — DeepEqual results and
-// byte-identical canonical journals — for every Table V policy of both
-// economic models across 10 trace seeds, fault injection included (odd
-// seeds run at high intensity, which exercises the cluster-0 sub-seed
-// identity clusterFaultSeed(s, r, 0) == repSeed(s, r)).
+// A 1-cluster neutral federation is the nil federation spelled out: it
+// must reproduce the nil-federation suite bit for bit — DeepEqual results,
+// byte-identical canonical journals, the same cell keys, and no Clusters —
+// for every Table V policy of both economic models across 10 trace seeds,
+// fault injection included (odd seeds run at high intensity). Both sides
+// run through the broker; TestRunCellMatchesSchedulerRun is the oracle
+// against scheduler.Run, the reference batch path.
 func TestDegenerateFederationMatchesPlainRun(t *testing.T) {
 	for _, model := range []economy.Model{economy.Commodity, economy.BidBased} {
 		for seed := int64(1); seed <= 10; seed++ {
@@ -75,6 +79,63 @@ func TestDegenerateFederationMatchesPlainRun(t *testing.T) {
 			}
 			if !bytes.Equal(canonical(t, plainRec), canonical(t, fedRec)) {
 				t.Fatalf("%s seed %d: degenerate federation journal differs from plain run", model, seed)
+			}
+		}
+	}
+}
+
+// The oracle of the one execution path: a nil-federation cell runs through
+// broker.Run, and must equal scheduler.Run, the reference batch path, on
+// identically prepared jobs — each replication's trace cloned, arrivals
+// scaled, QoS synthesized and the failure process drawn at the
+// replication's seeds over the prepared horizon — averaged in replication
+// order. Every Table V policy under each of its models, with and without
+// faults.
+func TestRunCellMatchesSchedulerRun(t *testing.T) {
+	for _, intensity := range []faults.Intensity{faults.None, faults.High} {
+		for _, spec := range scheduler.Specs() {
+			for _, model := range spec.Models {
+				cfg := smallSuite(model, true)
+				cfg.Jobs = 80
+				cfg.Replications = 2
+				cfg.FaultIntensity = intensity
+				cfg.FaultSeed = 5
+				p := DefaultParams(cfg.inaccuracyDefault())
+
+				reports := make([]metrics.Report, cfg.Replications)
+				for r := range reports {
+					stride := ReplicationSeedStride * int64(r)
+					trace, err := workload.Generate(cfg.synthConfig(), cfg.TraceSeed+stride)
+					if err != nil {
+						t.Fatal(err)
+					}
+					jobs := workload.CloneAll(trace)
+					workload.ScaleArrivals(jobs, p.ArrivalFactor)
+					if err := qos.Synthesize(jobs, p.QoSConfig(cfg.QoSSeed+stride)); err != nil {
+						t.Fatal(err)
+					}
+					rc := scheduler.RunConfig{Nodes: cfg.Nodes, Model: model, BasePrice: economy.DefaultBasePrice}
+					if intensity.Enabled() {
+						f := intensity.Config(cfg.FaultSeed+stride, faults.JobsHorizon(jobs))
+						rc.Faults = &f
+					}
+					if reports[r], err = scheduler.Run(jobs, spec.New, rc); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := metrics.AverageReports(reports)
+
+				got, fed, err := RunCellFederated(cfg, p, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s/%s/%s: RunCell diverged from scheduler.Run:\nwant %+v\ngot  %+v",
+						spec.Name, model, intensity, want, got)
+				}
+				if fed != nil {
+					t.Errorf("%s/%s/%s: nil federation returned a federation record", spec.Name, model, intensity)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/economy"
 	"repro/internal/risk"
 )
 
@@ -76,6 +77,77 @@ func (r *Results) IntegratedSeriesWeighted(objs []risk.Objective, w risk.Weights
 			}
 			out[i].Points = append(out[i].Points, pt)
 		}
+	}
+	return out, nil
+}
+
+// Recommendation summarizes a suite the way the paper's conclusion does:
+// the best policy per single objective and overall.
+type Recommendation struct {
+	Model economy.Model
+	Set   string
+	// PerObjective maps each objective to the policy with the best
+	// separate-analysis performance ranking.
+	PerObjective map[risk.Objective]string
+	// Overall is the best policy for the integrated analysis of all four
+	// objectives by performance (Table III criteria); OverallSafest by
+	// volatility (Table IV criteria).
+	Overall       string
+	OverallSafest string
+}
+
+// Recommend computes the recommendation.
+func (r *Results) Recommend() (Recommendation, error) {
+	rec := Recommendation{
+		Model:        r.Model,
+		Set:          r.SetName,
+		PerObjective: make(map[risk.Objective]string, risk.NumObjectives),
+	}
+	for _, obj := range risk.AllObjectives {
+		series, err := r.SeparateSeries(obj)
+		if err != nil {
+			return Recommendation{}, err
+		}
+		ranked, err := risk.RankByPerformance(series)
+		if err != nil {
+			return Recommendation{}, err
+		}
+		rec.PerObjective[obj] = ranked[0].Series.Policy
+	}
+	series, err := r.IntegratedSeries(risk.AllObjectives)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	best, err := risk.RankByPerformance(series)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	safest, err := risk.RankByVolatility(series)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	rec.Overall, rec.OverallSafest = best[0].Series.Policy, safest[0].Series.Policy
+	return rec, nil
+}
+
+// APriori fits the forward risk model to every policy's integrated series
+// and returns, for each, the estimated probability of falling below the
+// target performance in a future scenario.
+func (r *Results) APriori(objs []risk.Objective, targetPerformance float64) ([]risk.Projection, error) {
+	if targetPerformance < 0 || targetPerformance > 1 {
+		return nil, fmt.Errorf("experiment: target performance %v outside [0,1]", targetPerformance)
+	}
+	series, err := r.IntegratedSeries(objs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]risk.Projection, 0, len(series))
+	for _, s := range series {
+		p, err := risk.Project(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -93,15 +93,17 @@ type SuiteConfig struct {
 	// of TraceSeed so the same workload can be replayed under different
 	// failure histories.
 	FaultSeed int64
-	// Federation optionally routes every cell through the federation
-	// meta-broker (internal/broker) instead of the single Nodes-sized
-	// machine: one policy instance and one fault process per cluster, jobs
-	// placed by quote-shopping. Each cluster's failure process draws at
-	// the cluster-stride sub-seed (see ClusterFaultSeedStride); a cluster
-	// with its own FaultIntensity overrides the suite's. A federation
-	// equivalent to the single-cluster run (one cluster, Nodes-sized,
-	// neutral speed/price, inherited intensity) produces byte-identical
-	// cell keys, reports, and journals to Federation == nil.
+	// Federation optionally replaces the single Nodes-sized machine with a
+	// federation behind the meta-broker (internal/broker): one policy
+	// instance and one fault process per cluster, jobs placed by
+	// quote-shopping. Every cell runs through the broker; nil runs it on
+	// the neutral one-cluster federation of Nodes, which is the single
+	// machine. Each cluster's failure process draws at the cluster-stride
+	// sub-seed (see ClusterFaultSeedStride); a cluster with its own
+	// FaultIntensity overrides the suite's. A federation equivalent to the
+	// single-cluster run (one cluster, Nodes-sized, neutral speed/price,
+	// inherited intensity) produces byte-identical cell keys, reports, and
+	// journals to Federation == nil.
 	Federation *broker.Federation
 	// Synth optionally overrides the trace generator configuration (Jobs
 	// still wins for the job count); nil uses the SDSC SP2 calibration.
@@ -194,14 +196,35 @@ func (c SuiteConfig) CellKey(scenario string, value float64, policy string) stri
 	return obs.Key(parts...)
 }
 
-// federated reports whether cells run through the meta-broker AND differ
-// from the plain path: a nil federation or one equivalent to the single
-// Nodes-sized cluster keeps every output byte of today's non-federated
-// run. (A degenerate federation still executes through the broker — the
-// differential tests rely on that being a distinction without a
-// difference.)
+// federated reports whether cells run on a federation that differs from
+// the single machine: a nil federation or one equivalent to the single
+// Nodes-sized cluster keeps every output byte of the non-federated run —
+// its cell keys, its journal records (no federation record), and an empty
+// Results.Clusters. Every cell runs through the broker either way.
 func (c SuiteConfig) federated() bool {
 	return c.Federation != nil && !c.Federation.EquivalentToSingle(c.Nodes, c.FaultIntensity)
+}
+
+// federation returns the federation every replication runs through: the
+// configured one, or the neutral one-cluster federation of Nodes when
+// Federation is nil, which the broker runs with the plain machine's call
+// sequence (see broker.Federation.EquivalentToSingle).
+func (c SuiteConfig) federation() broker.Federation {
+	if c.Federation != nil {
+		return *c.Federation
+	}
+	return broker.Federation{Clusters: []broker.ClusterSpec{{Name: "only", Nodes: c.Nodes}}}
+}
+
+// synthConfig returns the trace generator configuration: the SDSC SP2
+// calibration unless Synth overrides it, with Jobs as the job count.
+func (c SuiteConfig) synthConfig() workload.SynthConfig {
+	s := workload.DefaultSynthConfig()
+	if c.Synth != nil {
+		s = *c.Synth
+	}
+	s.Jobs = c.Jobs
+	return s
 }
 
 // workloadFingerprint identifies the workload source. A synthetic trace
@@ -217,11 +240,7 @@ func (c SuiteConfig) workloadFingerprint() string {
 		}
 		return fmt.Sprintf("trace|%d|%d|%d", len(c.Trace), first, last)
 	}
-	s := workload.DefaultSynthConfig()
-	if c.Synth != nil {
-		s = *c.Synth
-	}
-	s.Jobs = c.Jobs
+	s := c.synthConfig()
 	return fmt.Sprintf("synth|%d|%g|%g|%g|%g|%v|%v|%g|%g|%g",
 		s.Jobs, s.MeanInterArrival, s.MeanRuntime, s.RuntimeCV, s.MaxRuntime,
 		s.Widths, s.WidthWeights,
@@ -310,34 +329,10 @@ func (r *Results) Cells() int {
 // so results are bit-for-bit identical to a serial run for every worker
 // count (the canonical-journal tests pin this, faults included).
 func Run(cfg SuiteConfig) (*Results, error) {
-	if cfg.Jobs <= 0 && cfg.Trace == nil {
-		return nil, fmt.Errorf("experiment: non-positive job count %d", cfg.Jobs)
-	}
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("experiment: non-positive node count %d", cfg.Nodes)
-	}
-	base := cfg.Trace
-	if base == nil {
-		synth := workload.DefaultSynthConfig()
-		if cfg.Synth != nil {
-			synth = *cfg.Synth
-		}
-		synth.Jobs = cfg.Jobs
-		var err error
-		base, err = workload.Generate(synth, cfg.TraceSeed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if _, err := faults.ParseIntensity(string(cfg.FaultIntensity)); err != nil {
+	b, err := newBatch(cfg)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Federation != nil {
-		if err := cfg.Federation.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	cache := newTraceCache(cfg, base)
 	specs := scheduler.ForModel(cfg.Model)
 	if len(cfg.PolicyFilter) > 0 {
 		wanted := make(map[string]bool, len(cfg.PolicyFilter))
@@ -406,10 +401,11 @@ func Run(cfg SuiteConfig) (*Results, error) {
 		}
 	}
 
-	// recordFederation projects one cell's merged federation record into the
-	// results grid (per-cluster reports in federation order + the routing
-	// digest). No-op for non-federated cells.
-	recordFederation := func(si, vi int, policy string, fed *obs.FederationRecord) {
+	// record places one cell's report, and its merged federation record
+	// (per-cluster reports in federation order + the routing digest) when
+	// it has one, into the results grid.
+	record := func(si, vi int, policy string, report metrics.Report, fed *obs.FederationRecord) {
+		res.Scenarios[si].Reports[vi][policy] = report
 		if fed == nil {
 			return
 		}
@@ -427,22 +423,6 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	}
 	reps := cfg.replications()
 
-	// pendingCell is one cell awaiting execution: its grid coordinates,
-	// pre-validated parameters, and the reduce state — a report slot per
-	// replication, filled in any order by the workers and merged in
-	// replication order once the last slot lands.
-	type pendingCell struct {
-		si, vi, pi int
-		cell       obs.Cell
-		params     Params
-		started    atomic.Bool
-		reports    []metrics.Report
-		feds       []*obs.FederationRecord
-		remaining  int
-		wall       time.Duration
-		err        error // first replication error, by replication index
-		errRep     int
-	}
 	// Split the grid into resumed cells (their journaled report is reused
 	// verbatim) and pending cells for the worker pool.
 	var pending []*pendingCell
@@ -450,7 +430,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	total := 0
 	for si, sc := range scenarios {
 		for vi, value := range sc.Values {
-			for pi, spec := range specs {
+			for _, spec := range specs {
 				total++
 				cell := obs.Cell{
 					Key:        cfg.CellKey(sc.Name, value, spec.Name),
@@ -462,8 +442,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 					Policy:     spec.Name,
 				}
 				if rec, ok := cfg.Resume[cell.Key]; ok && (!federated || rec.Federation != nil) {
-					res.Scenarios[si].Reports[vi][spec.Name] = rec.Report
-					recordFederation(si, vi, spec.Name, rec.Federation)
+					record(si, vi, spec.Name, rec.Report, rec.Federation)
 					resumed = append(resumed, obs.Record{
 						Cell: cell, Replications: reps, Resumed: true,
 						Report: rec.Report, Federation: rec.Federation,
@@ -476,12 +455,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 					return nil, fmt.Errorf("experiment: %s/%s[%d]/%s: %w",
 						cfg.SetName(), sc.Name, vi, spec.Name, err)
 				}
-				pending = append(pending, &pendingCell{
-					si: si, vi: vi, pi: pi, cell: cell, params: p,
-					reports:   make([]metrics.Report, reps),
-					feds:      make([]*obs.FederationRecord, reps),
-					remaining: reps, errRep: reps,
-				})
+				pending = append(pending, newPendingCell(si, vi, cell, p, spec, reps))
 			}
 		}
 	}
@@ -489,11 +463,104 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	suite := obs.Suite{Model: cfg.Model.String(), Set: cfg.SetName(), Cells: total, Resumed: len(resumed), Replications: reps}
 	suiteStart := time.Now() //lint:allow wallclock — suite wall-time accounting for obs.Summary, not simulation time
 	observer.SuiteStart(suite)
-	repObserver, _ := observer.(obs.ReplicationReporter)
 	for _, rec := range resumed {
 		observer.CellDone(rec)
 	}
+	executed := 0
+	b.execute(pending, observer, func(pc *pendingCell, report metrics.Report, fed *obs.FederationRecord) {
+		record(pc.si, pc.vi, pc.spec.Name, report, fed)
+		executed++
+		observer.CellDone(obs.Record{
+			Cell:         pc.cell,
+			Replications: reps,
+			WallSeconds:  pc.wall.Seconds(),
+			Report:       report,
+			Federation:   fed,
+		})
+	})
+	elapsed := time.Since(suiteStart) //lint:allow wallclock — suite wall-time accounting for obs.Summary, not simulation time
+	observer.SuiteDone(obs.Summary{Suite: suite, Executed: executed, Elapsed: elapsed})
+	// Report the failure of the earliest cell in grid order — like the
+	// reduce, independent of completion order.
+	for _, pc := range pending {
+		if pc.err != nil {
+			return nil, fmt.Errorf("experiment: %s/%s[%d]/%s (replication %d): %w",
+				cfg.SetName(), pc.cell.Scenario, pc.vi, pc.spec.Name, pc.errRep, pc.err)
+		}
+	}
+	return res, nil
+}
 
+// batch is one validated configuration ready to run, shared by Run and
+// the single-cell entry points: the configuration, the federation every
+// replication runs through, and the trace cache.
+type batch struct {
+	cfg   SuiteConfig
+	fed   broker.Federation
+	cache *traceCache
+}
+
+// newBatch validates cfg and prepares its batch. A synthetic workload's
+// replication-0 trace is generated here, so a generator error surfaces
+// before any cell starts.
+func newBatch(cfg SuiteConfig) (*batch, error) {
+	if cfg.Jobs <= 0 && cfg.Trace == nil {
+		return nil, fmt.Errorf("experiment: non-positive job count %d", cfg.Jobs)
+	}
+	if cfg.Nodes <= 0 {
+		return nil, fmt.Errorf("experiment: non-positive node count %d", cfg.Nodes)
+	}
+	if _, err := faults.ParseIntensity(string(cfg.FaultIntensity)); err != nil {
+		return nil, err
+	}
+	b := &batch{cfg: cfg, fed: cfg.federation(), cache: newTraceCache(cfg.synthConfig())}
+	if err := b.fed.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Trace == nil {
+		if _, err := b.cache.get(cfg.TraceSeed); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// pendingCell is one cell awaiting execution: its grid coordinates and
+// journal identity, its validated parameters and policy, and the reduce
+// state — a report slot per replication, filled in any order by the
+// workers and merged in replication order once the last slot lands.
+type pendingCell struct {
+	si, vi    int
+	cell      obs.Cell
+	params    Params
+	spec      scheduler.Spec
+	started   atomic.Bool
+	reports   []metrics.Report
+	feds      []*obs.FederationRecord
+	remaining int
+	wall      time.Duration
+	err       error // first replication error, by replication index
+	errRep    int
+}
+
+func newPendingCell(si, vi int, cell obs.Cell, p Params, spec scheduler.Spec, reps int) *pendingCell {
+	return &pendingCell{
+		si: si, vi: vi, cell: cell, params: p, spec: spec,
+		reports:   make([]metrics.Report, reps),
+		feds:      make([]*obs.FederationRecord, reps),
+		remaining: reps, errRep: reps,
+	}
+}
+
+// execute runs every replication of every pending cell on one pool of
+// Workers goroutines (GOMAXPROCS when Workers ≤ 0). Once a cell's last
+// replication lands, its reports are reduced in replication order and done
+// receives the result, on the calling goroutine; a cell with a failed
+// replication keeps the error of the lowest replication index in
+// pc.err/pc.errRep instead.
+func (b *batch) execute(pending []*pendingCell, observer obs.Reporter, done func(pc *pendingCell, report metrics.Report, fed *obs.FederationRecord)) {
+	reps := b.cfg.replications()
+	repObserver, _ := observer.(obs.ReplicationReporter)
 	// One unit of work = one replication of one cell. Units are enqueued
 	// cell-major so a cell's replications are co-scheduled and cells
 	// complete (and journal) as early as possible.
@@ -508,7 +575,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 		err    error
 	}
 	units := len(pending) * reps
-	workers := cfg.Workers
+	workers := b.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -525,7 +592,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 					observer.CellStart(pc.cell)
 				}
 				start := time.Now() //lint:allow wallclock — per-replication wall-time accounting for the journal, not simulation time
-				rep, fed, err := runReplication(cfg, cache, pc.params, specs[pc.pi], u.r)
+				rep, fed, err := b.runReplication(pc.params, pc.spec, u.r)
 				wall := time.Since(start) //lint:allow wallclock — per-replication wall-time accounting for the journal, not simulation time
 				outCh <- outcome{unit: u, report: rep, fed: fed, wall: wall, err: err}
 			}
@@ -540,7 +607,6 @@ func Run(cfg SuiteConfig) (*Results, error) {
 		close(unitCh)
 	}()
 
-	executed := 0
 	for i := 0; i < units; i++ {
 		o := <-outCh
 		pc := pending[o.ci]
@@ -559,37 +625,12 @@ func Run(cfg SuiteConfig) (*Results, error) {
 				repObserver.ReplicationDone(pc.cell, o.r, reps)
 			}
 		}
-		if pc.remaining > 0 {
+		if pc.remaining > 0 || pc.err != nil {
 			continue
 		}
 		// Last replication of the cell: reduce in replication order.
-		if pc.err != nil {
-			continue
-		}
-		report := metrics.AverageReports(pc.reports)
-		fed := reduceFederationRecords(pc.feds)
-		res.Scenarios[pc.si].Reports[pc.vi][specs[pc.pi].Name] = report
-		recordFederation(pc.si, pc.vi, specs[pc.pi].Name, fed)
-		executed++
-		observer.CellDone(obs.Record{
-			Cell:         pc.cell,
-			Replications: reps,
-			WallSeconds:  pc.wall.Seconds(),
-			Report:       report,
-			Federation:   fed,
-		})
+		done(pc, metrics.AverageReports(pc.reports), reduceFederationRecords(pc.feds))
 	}
-	elapsed := time.Since(suiteStart) //lint:allow wallclock — suite wall-time accounting for obs.Summary, not simulation time
-	observer.SuiteDone(obs.Summary{Suite: suite, Executed: executed, Elapsed: elapsed})
-	// Report the failure of the earliest cell in grid order — like the
-	// reduce, independent of completion order.
-	for _, pc := range pending {
-		if pc.err != nil {
-			return nil, fmt.Errorf("experiment: %s/%s[%d]/%s (replication %d): %w",
-				cfg.SetName(), scenarios[pc.si].Name, pc.vi, specs[pc.pi].Name, pc.errRep, pc.err)
-		}
-	}
-	return res, nil
 }
 
 // traceCache memoizes generated traces by replication seed, shared across
@@ -619,21 +660,9 @@ type traceEntry struct {
 	err  error
 }
 
-// newTraceCache builds the cache for cfg's synthetic generator, pre-seeding
-// the replication-0 trace that Run has already generated.
-func newTraceCache(cfg SuiteConfig, base []*workload.Job) *traceCache {
-	synth := workload.DefaultSynthConfig()
-	if cfg.Synth != nil {
-		synth = *cfg.Synth
-	}
-	synth.Jobs = cfg.Jobs
-	c := &traceCache{synth: synth, byTag: make(map[int64]*traceEntry)}
-	if cfg.Trace == nil && base != nil {
-		e := &traceEntry{jobs: base}
-		e.once.Do(func() {}) // mark generated
-		c.byTag[cfg.TraceSeed] = e
-	}
-	return c
+// newTraceCache builds an empty cache for the synthetic generator synth.
+func newTraceCache(synth workload.SynthConfig) *traceCache {
+	return &traceCache{synth: synth, byTag: make(map[int64]*traceEntry)}
 }
 
 // get returns the trace for a seed, generating it on first use. Safe for
@@ -657,78 +686,60 @@ func (c *traceCache) get(seed int64) ([]*workload.Job, error) {
 // the replication's seed through the shared cache (or reuse a fixed
 // external trace, which cannot be re-drawn — only the QoS and fault seeds
 // vary across its replications), clone it, scale arrivals, synthesize QoS,
-// and simulate under the policy — through the federation meta-broker when
-// one is configured, on the single machine otherwise. The federation
-// record is nil unless the federation actually differs from the plain
-// path. This is the worker pool's unit of work.
-func runReplication(cfg SuiteConfig, cache *traceCache, p Params, spec scheduler.Spec, r int) (metrics.Report, *obs.FederationRecord, error) {
-	trace := cfg.Trace
+// and simulate under the policy through the federation meta-broker. The
+// federation record is nil unless the federation differs from the single
+// machine. This is the worker pool's unit of work.
+func (b *batch) runReplication(p Params, spec scheduler.Spec, r int) (metrics.Report, *obs.FederationRecord, error) {
+	trace := b.cfg.Trace
 	if trace == nil {
 		var err error
-		trace, err = cache.get(repSeed(cfg.TraceSeed, r))
+		trace, err = b.cache.get(repSeed(b.cfg.TraceSeed, r))
 		if err != nil {
 			return metrics.Report{}, nil, err
 		}
 	}
 	jobs := workload.CloneAll(trace)
 	workload.ScaleArrivals(jobs, p.ArrivalFactor)
-	if err := qos.Synthesize(jobs, p.QoSConfig(repSeed(cfg.QoSSeed, r))); err != nil {
+	if err := qos.Synthesize(jobs, p.QoSConfig(repSeed(b.cfg.QoSSeed, r))); err != nil {
 		return metrics.Report{}, nil, err
 	}
-	if cfg.Federation != nil {
-		res, err := broker.Run(jobs, *cfg.Federation, spec.New, broker.RunConfig{
-			Model:  cfg.Model,
-			Faults: federationFaultConfigs(cfg, jobs, r),
-		})
-		if err != nil {
-			return metrics.Report{}, nil, err
-		}
-		var fedRec *obs.FederationRecord
-		if cfg.federated() {
-			fedRec = federationRecord(res)
-		}
-		return res.Federation, fedRec, nil
-	}
-	// The failure process is scaled to this replication's prepared
-	// workload (after arrival scaling), so the axis bites identically
-	// at test scale and paper scale.
-	var faultCfg *faults.Config
-	if cfg.FaultIntensity.Enabled() {
-		f := cfg.FaultIntensity.Config(repSeed(cfg.FaultSeed, r), faults.JobsHorizon(jobs))
-		faultCfg = &f
-	}
-	rep, err := scheduler.Run(jobs, spec.New, scheduler.RunConfig{
-		Nodes:     cfg.Nodes,
-		Model:     cfg.Model,
-		BasePrice: economy.DefaultBasePrice,
-		Faults:    faultCfg,
+	res, err := broker.Run(jobs, b.fed, spec.New, broker.RunConfig{
+		Model:  b.cfg.Model,
+		Faults: b.faultConfigs(jobs, r),
 	})
-	return rep, nil, err
+	if err != nil {
+		return metrics.Report{}, nil, err
+	}
+	var fedRec *obs.FederationRecord
+	if b.cfg.federated() {
+		fedRec = federationRecord(res)
+	}
+	return res.Federation, fedRec, nil
 }
 
-// federationFaultConfigs derives one failure process per cluster for
-// replication r: each cluster's effective intensity (its own, or the
-// suite's when unset) expanded at the cluster-stride sub-seed over the
-// replication's workload horizon. Nil when no cluster injects faults.
-func federationFaultConfigs(cfg SuiteConfig, jobs []*workload.Job, r int) []*faults.Config {
-	fed := *cfg.Federation
+// faultConfigs derives one failure process per cluster for replication r:
+// each cluster's effective intensity (its own, or the suite's when unset)
+// expanded at the cluster-stride sub-seed over the replication's prepared
+// workload horizon (after arrival scaling), so the axis bites identically
+// at test scale and paper scale. Cluster 0 draws at repSeed, so the
+// single machine's process is the neutral one-cluster federation's. Nil
+// when no cluster injects faults.
+func (b *batch) faultConfigs(jobs []*workload.Job, r int) []*faults.Config {
 	var out []*faults.Config
 	horizon := 0.0
-	for ci, cs := range fed.Clusters {
+	for ci, cs := range b.fed.Clusters {
 		intensity := cs.FaultIntensity
 		if intensity == "" {
-			intensity = cfg.FaultIntensity
+			intensity = b.cfg.FaultIntensity
 		}
 		if !intensity.Enabled() {
 			continue
 		}
 		if out == nil {
-			out = make([]*faults.Config, len(fed.Clusters))
-			// The failure process is scaled to the replication's prepared
-			// workload, exactly as on the plain path.
+			out = make([]*faults.Config, len(b.fed.Clusters))
 			horizon = faults.JobsHorizon(jobs)
 		}
-		f := intensity.Config(clusterFaultSeed(cfg.FaultSeed, r, ci), horizon)
+		f := intensity.Config(clusterFaultSeed(b.cfg.FaultSeed, r, ci), horizon)
 		out[ci] = &f
 	}
 	return out
@@ -784,43 +795,6 @@ func reduceFederationRecords(feds []*obs.FederationRecord) *obs.FederationRecord
 	return out
 }
 
-// runCell runs every replication of one cell and reduces them in
-// replication order — the same order-fixed reduce the suite pool applies,
-// so the two paths are bit-for-bit interchangeable. Replications run on
-// min(Workers, reps) goroutines (Workers ≤ 0 meaning GOMAXPROCS), which
-// is what lets a single paper-scale cell with -reps N use N cores.
-func runCell(cfg SuiteConfig, cache *traceCache, p Params, spec scheduler.Spec) (metrics.Report, *obs.FederationRecord, error) {
-	reps := cfg.replications()
-	reports := make([]metrics.Report, reps)
-	feds := make([]*obs.FederationRecord, reps)
-	errs := make([]error, reps)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > reps {
-		workers = reps
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for r := 0; r < reps; r++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(r int) {
-			defer wg.Done()
-			reports[r], feds[r], errs[r] = runReplication(cfg, cache, p, spec, r)
-			<-sem
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			return metrics.Report{}, nil, fmt.Errorf("replication %d: %w", r, err)
-		}
-	}
-	return metrics.AverageReports(reports), reduceFederationRecords(feds), nil
-}
-
 // RunCellDetailed is RunCell plus the per-job outcomes, for drill-down
 // dumps (simrun -dump). Replications are forced serial so the captured
 // audit trail is deterministically the final replication's; the averaged
@@ -842,8 +816,8 @@ func RunCellDetailed(cfg SuiteConfig, params Params, spec scheduler.Spec) (metri
 }
 
 // RunCell is the exported single-cell entry point used by cmd/simrun and
-// the examples. Replications (if configured) run in parallel on
-// cfg.Workers goroutines with the same order-fixed reduce as Run.
+// the examples. Its replications run on Run's worker pool, with the same
+// set-up and the same order-fixed reduce.
 func RunCell(cfg SuiteConfig, params Params, spec scheduler.Spec) (metrics.Report, error) {
 	rep, _, err := RunCellFederated(cfg, params, spec)
 	return rep, err
@@ -857,23 +831,18 @@ func RunCellFederated(cfg SuiteConfig, params Params, spec scheduler.Spec) (metr
 	if err := params.Validate(); err != nil {
 		return metrics.Report{}, nil, err
 	}
-	if cfg.Federation != nil {
-		if err := cfg.Federation.Validate(); err != nil {
-			return metrics.Report{}, nil, err
-		}
+	b, err := newBatch(cfg)
+	if err != nil {
+		return metrics.Report{}, nil, err
 	}
-	base := cfg.Trace
-	if base == nil {
-		synth := workload.DefaultSynthConfig()
-		if cfg.Synth != nil {
-			synth = *cfg.Synth
-		}
-		synth.Jobs = cfg.Jobs
-		var err error
-		base, err = workload.Generate(synth, cfg.TraceSeed)
-		if err != nil {
-			return metrics.Report{}, nil, err
-		}
+	pc := newPendingCell(0, 0, obs.Cell{}, params, spec, cfg.replications())
+	var rep metrics.Report
+	var fed *obs.FederationRecord
+	b.execute([]*pendingCell{pc}, obs.Nop{}, func(_ *pendingCell, r metrics.Report, f *obs.FederationRecord) {
+		rep, fed = r, f
+	})
+	if pc.err != nil {
+		return metrics.Report{}, nil, fmt.Errorf("replication %d: %w", pc.errRep, pc.err)
 	}
-	return runCell(cfg, newTraceCache(cfg, base), params, spec)
+	return rep, fed, nil
 }

@@ -96,6 +96,44 @@ func TestFleetRiskAggregatesAcrossWorkers(t *testing.T) {
 	}
 }
 
+// A DELETE of a session not yet finalized finalizes it on the worker, and
+// the final line it answers with reaches the plane's shadow before the
+// route is dropped: the plane's fleet view of a one-worker fleet then reads
+// exactly what the worker's own risk view reads, final event included.
+func TestFleetRiskCountsFinalOfDelete(t *testing.T) {
+	p, workers := newFleet(t, 1)
+	h := p.Handler()
+
+	id := createSession(t, p, serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"})
+	for _, j := range testTrace(t, 5, 41) {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+	mustDo(t, h, http.MethodDelete, "/v1/sessions/"+id, nil, http.StatusOK, nil)
+
+	var fleet streamrisk.Snapshot
+	mustDo(t, h, http.MethodGet, "/v1/risk", nil, http.StatusOK, &fleet)
+	resp, err := http.Get(workers[0].URL + "/v1/risk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var worker streamrisk.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&worker); err != nil {
+		t.Fatal(err)
+	}
+	if worker.Global.Finals != 1 {
+		t.Fatalf("worker global after delete: %+v, want 1 final", worker.Global)
+	}
+	fb, _ := json.Marshal(fleet.Global)
+	wb, _ := json.Marshal(worker.Global)
+	if !bytes.Equal(fb, wb) {
+		t.Errorf("fleet global diverged from the worker's after delete:\nfleet:  %s\nworker: %s", fb, wb)
+	}
+	if len(fleet.Sessions) != 0 {
+		t.Errorf("deleted session still has a fleet scope: %+v", fleet.Sessions)
+	}
+}
+
 // A worker crash mid-session does not disturb the fleet risk view: the
 // shadow journal keeps observing on the plane, the session recovers onto a
 // surviving worker, and the finished session's fleet scores still match

@@ -191,7 +191,11 @@ func (p *Plane) handleFinalize(w http.ResponseWriter, r *http.Request) {
 	proxy(w, rep)
 }
 
-// handleDelete forwards the delete and drops the route.
+// handleDelete forwards the delete and drops the route. A delete finalizes
+// a session not yet finalized, so, as in handleFinalize, a shadow without
+// a final line appends the one the worker answered with before the route
+// and its risk scope go. The worker has removed the session either way, so
+// the route is dropped even when that line cannot be recorded (a 502).
 func (p *Plane) handleDelete(w http.ResponseWriter, r *http.Request) {
 	rt := p.routeOr404(w, r)
 	if rt == nil {
@@ -204,10 +208,14 @@ func (p *Plane) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rep.status == http.StatusOK {
+		recorded := rt.shadow.Finalized() || record(w, rt, rep)
 		p.mu.Lock()
 		delete(p.routes, rt.id)
 		p.mu.Unlock()
 		p.risk.ForgetSession(rt.id)
+		if !recorded {
+			return
+		}
 	}
 	proxy(w, rep)
 }
