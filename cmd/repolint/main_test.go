@@ -28,7 +28,7 @@ func TestRunFlagsGoldenFixtures(t *testing.T) {
 			code, stdout.String(), stderr.String())
 	}
 	for _, rule := range []string{"wallclock", "globalrand", "maporder", "floateq", "errignore",
-		"detflow", "hotalloc", "lockflow", "journalfmt", "directive"} {
+		"detflow", "hotalloc", "lockflow", "journalfmt", "deadcode", "directive"} {
 		if !strings.Contains(stdout.String(), ": "+rule+": ") {
 			t.Errorf("no %s finding in driver output", rule)
 		}
@@ -52,6 +52,7 @@ func TestRunPerAnalyzerExitCode(t *testing.T) {
 		"hotalloc":   "./hotalloc",
 		"lockflow":   "./internal/serve",
 		"journalfmt": "./internal/obs",
+		"deadcode":   "./internal/deadcode",
 	}
 	for rule, pattern := range cases {
 		var stdout, stderr strings.Builder
@@ -74,7 +75,7 @@ func TestRulesFlag(t *testing.T) {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
 	}
 	for _, rule := range []string{"wallclock", "globalrand", "maporder", "floateq", "errignore",
-		"detflow", "hotalloc", "lockflow", "journalfmt"} {
+		"detflow", "hotalloc", "lockflow", "journalfmt", "deadcode"} {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Errorf("catalog missing %s:\n%s", rule, stdout.String())
 		}

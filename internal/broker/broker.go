@@ -70,12 +70,9 @@ type Broker struct {
 	routed   []int
 	rejected []int
 	digest   uint64
-	maxNodes int
 	// scratch is the reusable candidate buffer of the routing loop.
-	scratch    []Candidate
-	lastSubmit float64
-	finalized  bool
-	final      *Result
+	scratch []Candidate
+	final   *Result
 }
 
 // fnvOffset and fnvPrime are the FNV-1a constants; the digest is folded
@@ -101,13 +98,11 @@ func New(fed Federation, factory scheduler.Factory, cfg RunConfig) (*Broker, err
 		base = economy.DefaultBasePrice
 	}
 	b := &Broker{
-		fed:        fed,
-		sessions:   make([]*scheduler.Session, len(fed.Clusters)),
-		routed:     make([]int, len(fed.Clusters)),
-		rejected:   make([]int, len(fed.Clusters)),
-		scratch:    make([]Candidate, 0, len(fed.Clusters)),
-		maxNodes:   fed.MaxNodes(),
-		lastSubmit: -1,
+		fed:      fed,
+		sessions: make([]*scheduler.Session, len(fed.Clusters)),
+		routed:   make([]int, len(fed.Clusters)),
+		rejected: make([]int, len(fed.Clusters)),
+		scratch:  make([]Candidate, 0, len(fed.Clusters)),
 	}
 	for i, cs := range fed.Clusters {
 		rc := scheduler.RunConfig{
@@ -133,47 +128,11 @@ func New(fed Federation, factory scheduler.Factory, cfg RunConfig) (*Broker, err
 	return b, nil
 }
 
-// Federation returns the broker's federation.
-func (b *Broker) Federation() Federation { return b.fed }
-
-// Finalized reports whether Finalize has run.
-func (b *Broker) Finalized() bool { return b.finalized }
-
-// Submit routes the job to the best cluster and returns the admission
-// decision, the chosen cluster's index, and the quote the job was shopped
-// at. Submission times must be globally non-decreasing; a job wider than
-// every cluster is a validation error, mirroring the single-cluster rule.
-func (b *Broker) Submit(j *workload.Job) (scheduler.Decision, int, error) {
-	ci, adm, quote, err := b.place(j, true)
-	if err != nil {
-		return scheduler.Decision{}, 0, err
-	}
-	return scheduler.Decision{Admission: adm, Quote: quote}, ci, nil
-}
-
-// place is the routing core: validate, shop the statically feasible
-// clusters, pick one, submit. wantQuote controls whether the
-// single-candidate fast path prices the job (the batch Run never reads the
-// quote, and quoting is pure overhead at trace scale — the same reasoning
-// as the Session's quote-free submit).
-func (b *Broker) place(j *workload.Job, wantQuote bool) (int, scheduler.Admission, float64, error) {
-	if b.finalized {
-		return 0, 0, 0, fmt.Errorf("broker: job %d submitted to a finalized broker", j.ID)
-	}
-	if err := j.Validate(); err != nil {
-		return 0, 0, 0, err
-	}
-	if !j.HasQoS() {
-		return 0, 0, 0, fmt.Errorf("broker: job %d has no QoS parameters", j.ID)
-	}
-	if j.Submit < b.lastSubmit {
-		return 0, 0, 0, fmt.Errorf("broker: job %d out of submission order", j.ID)
-	}
-	if j.Procs > b.maxNodes {
-		return 0, 0, 0, fmt.Errorf("broker: job %d wider (%d) than every cluster (max %d)", j.ID, j.Procs, b.maxNodes)
-	}
-	b.lastSubmit = j.Submit
-
+// place is the routing core: shop the statically feasible clusters, pick
+// one, submit, and return the chosen cluster's index. Run has already
+// checked every job: valid, with QoS, in submission order, and no wider
+// than the widest cluster.
+func (b *Broker) place(j *workload.Job) (int, error) {
 	// Static fit first: only clusters large enough to ever host the width
 	// are shopped. With a single feasible cluster the choice is forced and
 	// shopping is skipped entirely — in a 1-cluster federation the session
@@ -188,7 +147,6 @@ func (b *Broker) place(j *workload.Job, wantQuote bool) (int, scheduler.Admissio
 		}
 	}
 	pick := sole
-	quote := 0.0
 	if feasible > 1 {
 		for i := range b.fed.Clusters {
 			if j.Procs > b.fed.Clusters[i].Nodes {
@@ -198,7 +156,7 @@ func (b *Broker) place(j *workload.Job, wantQuote bool) (int, scheduler.Admissio
 			s.AdvanceTo(j.Submit)
 			at, err := s.EarliestAvailable(j.Procs)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("broker: cluster %q: %v", b.fed.Clusters[i].Name, err)
+				return 0, fmt.Errorf("broker: cluster %q: %v", b.fed.Clusters[i].Name, err)
 			}
 			risk := 0.0
 			if b.routed[i] > 0 {
@@ -212,33 +170,18 @@ func (b *Broker) place(j *workload.Job, wantQuote bool) (int, scheduler.Admissio
 			})
 		}
 		pick = PickCluster(b.scratch)
-		quote = b.scratch[indexOf(b.scratch, pick)].Quote
-	} else if wantQuote {
-		b.sessions[pick].AdvanceTo(j.Submit)
-		quote = b.sessions[pick].QuoteFor(j)
 	}
 
 	adm, err := b.sessions[pick].SubmitQuoteless(j)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("broker: cluster %q: %v", b.fed.Clusters[pick].Name, err)
+		return 0, fmt.Errorf("broker: cluster %q: %v", b.fed.Clusters[pick].Name, err)
 	}
 	b.routed[pick]++
 	if adm == scheduler.AdmissionRejected {
 		b.rejected[pick]++
 	}
 	b.digest = foldRoute(b.digest, j.ID, pick)
-	return pick, adm, quote, nil
-}
-
-// indexOf returns the position of the candidate with the given cluster
-// index; the candidates are in ascending cluster order by construction.
-func indexOf(cands []Candidate, cluster int) int {
-	for i := range cands {
-		if cands[i].Cluster == cluster {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("broker: picked cluster %d not among candidates", cluster))
+	return pick, nil
 }
 
 // foldRoute folds one placement into the incremental FNV-1a digest.
@@ -305,9 +248,9 @@ func betterCandidate(a, b Candidate) bool {
 }
 
 // Finalize drains every cluster session in federation order and returns
-// the merged result. Finalize is idempotent; Submit fails afterwards.
+// the merged result. Finalize is idempotent.
 func (b *Broker) Finalize() *Result {
-	if b.finalized {
+	if b.final != nil {
 		return b.final
 	}
 	res := &Result{
@@ -324,7 +267,6 @@ func (b *Broker) Finalize() *Result {
 		}
 	}
 	res.Federation = MergeReports(res.Clusters)
-	b.finalized = true
 	b.final = res
 	return res
 }
@@ -414,7 +356,7 @@ func Run(jobs []*workload.Job, fed Federation, factory scheduler.Factory, cfg Ru
 		return nil, err
 	}
 	for _, j := range jobs {
-		if _, _, _, err := b.place(j, false); err != nil {
+		if _, err := b.place(j); err != nil {
 			return nil, err
 		}
 	}

@@ -188,15 +188,17 @@ func TestRoutingSpreadsByAvailability(t *testing.T) {
 	// finds east occupied until t=1000 and goes west.
 	jobs := []*workload.Job{qosJob(1, 0, 8, 1000), qosJob(2, 0, 8, 1000)}
 	for i, wantCluster := range []int{0, 1} {
-		d, ci, err := b.Submit(jobs[i])
+		ci, err := b.place(jobs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ci != wantCluster {
 			t.Errorf("job %d routed to cluster %d, want %d", i+1, ci, wantCluster)
 		}
-		if d.Quote <= 0 {
-			t.Errorf("job %d: non-positive quote %v", i+1, d.Quote)
+		for _, c := range b.scratch {
+			if c.Quote <= 0 {
+				t.Errorf("job %d: cluster %d quoted %v, want > 0", i+1, c.Cluster, c.Quote)
+			}
 		}
 	}
 	res := b.Finalize()
@@ -209,7 +211,7 @@ func TestRoutingSpreadsByAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	if run.RoutingDigest != res.RoutingDigest {
-		t.Errorf("Run routing digest %s differs from the online broker's %s", run.RoutingDigest, res.RoutingDigest)
+		t.Errorf("Run routing digest %s differs from the step-by-step placement's %s", run.RoutingDigest, res.RoutingDigest)
 	}
 }
 
@@ -223,22 +225,18 @@ func TestRoutingForcedByWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, ci, err := b.Submit(qosJob(1, 0, 32, 100))
+	ci, err := b.place(qosJob(1, 0, 32, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ci != 1 {
 		t.Errorf("wide job routed to cluster %d, want 1 (big)", ci)
 	}
-	if d.Quote <= 0 {
-		t.Errorf("forced-choice Submit returned quote %v, want > 0", d.Quote)
+	if len(b.scratch) != 0 {
+		t.Errorf("forced choice shopped %d candidates, want none", len(b.scratch))
 	}
-	if b.Finalized() {
-		t.Error("broker finalized prematurely")
-	}
-	b.Finalize()
-	if !b.Finalized() {
-		t.Error("broker not finalized")
+	if res := b.Finalize(); res.Clusters[1].Routed != 1 {
+		t.Errorf("big cluster routed %d jobs, want 1", res.Clusters[1].Routed)
 	}
 }
 
@@ -294,30 +292,15 @@ func TestBrokerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Submit(qosJob(1, 0, 9, 100)); err == nil {
-		t.Error("Submit accepted a job wider than every cluster")
-	}
-	if _, _, err := b.Submit(&workload.Job{ID: 2, Submit: 0, Runtime: 10, Estimate: 12, Procs: 1}); err == nil {
-		t.Error("Submit accepted a job without QoS")
-	}
-	if _, _, err := b.Submit(&workload.Job{ID: 0}); err == nil {
-		t.Error("Submit accepted an invalid job")
-	}
-	if _, _, err := b.Submit(qosJob(3, 100, 1, 10)); err != nil {
+	if _, err := b.place(qosJob(3, 100, 1, 10)); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, err := b.Submit(qosJob(4, 50, 1, 10)); err == nil {
-		t.Error("Submit accepted out-of-order submission")
 	}
 	first := b.Finalize()
 	if again := b.Finalize(); again != first {
 		t.Error("Finalize not idempotent")
 	}
-	if _, _, err := b.Submit(qosJob(5, 200, 1, 10)); err == nil {
-		t.Error("Submit accepted a job after Finalize")
-	}
 
-	// Run-level validation mirrors scheduler.Run.
+	// Run checks every job up front, as scheduler.Run does.
 	if _, err := Run([]*workload.Job{qosJob(1, 0, 9, 10)}, fed, scheduler.NewFCFSBF, RunConfig{Model: economy.Commodity}); err == nil {
 		t.Error("Run accepted a job wider than every cluster")
 	}

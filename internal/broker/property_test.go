@@ -149,8 +149,8 @@ func assertConservation(t *testing.T, res *Result, jobs int) {
 }
 
 // assertRoutesFit checks Run placed one route per job and no job on a
-// cluster it cannot statically fit. The placements are read through the
-// online broker, whose routing digest must equal Run's.
+// cluster it cannot statically fit. The placements are read by placing the
+// jobs step by step, whose routing digest must equal Run's.
 func assertRoutesFit(t *testing.T, fed Federation, jobs []*workload.Job, factory scheduler.Factory, cfg RunConfig, res *Result) {
 	t.Helper()
 	byID := make(map[int]*workload.Job, len(jobs))
@@ -176,15 +176,15 @@ func assertRoutesFit(t *testing.T, fed Federation, jobs []*workload.Job, factory
 	}
 }
 
-// route is one placement decision, as Broker.Submit reports it.
+// route is one placement decision, as Broker.place reports it.
 type route struct {
 	jobID, cluster int
 }
 
-// placements submits jobs one by one to an online broker over fed and
-// returns each placement Submit reported. The batch Run keeps no
-// placement list; its routing digest, which folds the same (job, cluster)
-// sequence, must equal the online broker's, so the placements are Run's.
+// placements places jobs one by one on a broker over fed and returns each
+// placement. The batch Run keeps no placement list; its routing digest,
+// which folds the same (job, cluster) sequence, must equal the step-by-step
+// one, so the placements are Run's.
 func placements(t *testing.T, jobs []*workload.Job, fed Federation, factory scheduler.Factory, cfg RunConfig, run *Result) []route {
 	t.Helper()
 	b, err := New(fed, factory, cfg)
@@ -193,14 +193,14 @@ func placements(t *testing.T, jobs []*workload.Job, fed Federation, factory sche
 	}
 	routes := make([]route, 0, len(jobs))
 	for _, j := range jobs {
-		_, ci, err := b.Submit(j)
+		ci, err := b.place(j)
 		if err != nil {
 			t.Fatal(err)
 		}
 		routes = append(routes, route{jobID: j.ID, cluster: ci})
 	}
 	if got := b.Finalize().RoutingDigest; got != run.RoutingDigest {
-		t.Errorf("online broker routing digest %s differs from Run's %s", got, run.RoutingDigest)
+		t.Errorf("step-by-step routing digest %s differs from Run's %s", got, run.RoutingDigest)
 	}
 	return routes
 }
@@ -247,7 +247,7 @@ func TestNoRoutingToShrunkenCluster(t *testing.T) {
 				}
 				avail[i] = at
 			}
-			_, ci, err := b.Submit(j)
+			ci, err := b.place(j)
 			if err != nil {
 				t.Fatal(err)
 			}

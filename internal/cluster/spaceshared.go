@@ -8,9 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultNodes is the machine size the paper simulates.
-const DefaultNodes = 128
-
 // SpaceJob describes one job currently executing on a space-shared cluster.
 type SpaceJob struct {
 	Job *workload.Job
@@ -54,7 +51,6 @@ type SpaceShared struct {
 	// occupied by jobs. Down idle nodes are in neither bucket.
 	free      int
 	busyProcs int
-	downCount int
 	running   map[*workload.Job]*SpaceJob
 	// byEnd keeps the running jobs sorted by (EstEnd, ID), maintained
 	// incrementally on Start and release so the availability queries
@@ -122,20 +118,8 @@ func NewSpaceSharedRated(engine *sim.Engine, ratings []float64) *SpaceShared {
 // Nodes returns the machine size.
 func (s *SpaceShared) Nodes() int { return len(s.ratings) }
 
-// Rating returns node i's speed multiplier.
-func (s *SpaceShared) Rating(i int) float64 { return s.ratings[i] }
-
 // FreeProcs returns the number of processors that are idle and up.
 func (s *SpaceShared) FreeProcs() int { return s.free }
-
-// UpNodes returns the number of nodes currently operational.
-func (s *SpaceShared) UpNodes() int { return len(s.ratings) - s.downCount }
-
-// NodeDown reports whether node i is currently failed.
-func (s *SpaceShared) NodeDown(i int) bool { return s.down[i] }
-
-// RunningCount returns the number of jobs currently executing.
-func (s *SpaceShared) RunningCount() int { return len(s.running) }
 
 // CanStart reports whether a job of the given width fits right now.
 //
@@ -296,7 +280,6 @@ func (s *SpaceShared) Fail(i int) *workload.Job {
 	}
 	s.accrue()
 	s.down[i] = true
-	s.downCount++
 	sj := s.occupant[i]
 	if sj == nil {
 		s.free-- // an idle node leaves the free pool
@@ -318,7 +301,6 @@ func (s *SpaceShared) Repair(i int) {
 	}
 	s.accrue()
 	s.down[i] = false
-	s.downCount--
 	s.free++
 }
 

@@ -54,26 +54,9 @@ type TSJob struct {
 	gone    bool   // released from the machine; compact drops it from order
 }
 
-// Progress returns the actual work completed so far, in processor-seconds
-// at rate 1 (callers must have triggered an advance via a TimeShared query
-// at the current time; all exported TimeShared methods do so).
-func (t *TSJob) Progress() float64 { return t.progress }
-
 // Overrun reports whether the job has already executed longer than its user
 // estimate promised — the signal LibraRiskD keys on.
 func (t *TSJob) Overrun() bool { return t.progress >= t.Job.Estimate-workEps }
-
-// Lapsed reports whether the job's share booking has expired (it is still
-// running past its own absolute deadline).
-func (t *TSJob) Lapsed() bool { return t.lapsed }
-
-// Rate returns the current execution rate.
-func (t *TSJob) Rate() float64 { return t.rate }
-
-// Remaining returns the actual work left, in seconds at rate 1. Work
-// within the completion epsilon counts as done (the completion event for
-// it is already pending).
-func (t *TSJob) Remaining() float64 { return t.remaining }
 
 // Done reports whether the job's work is complete up to the integration
 // epsilon — its completion event is due this instant.
@@ -210,9 +193,6 @@ func NewTimeSharedRated(engine *sim.Engine, ratings []float64) *TimeShared {
 	return ts
 }
 
-// Rating returns node i's speed multiplier.
-func (t *TimeShared) Rating(i int) float64 { return t.nodes[i].rating }
-
 // Nodes returns the machine size.
 func (t *TimeShared) Nodes() int { return len(t.nodes) }
 
@@ -239,12 +219,6 @@ func (t *TimeShared) UpNodes() int {
 	}
 	return up
 }
-
-// NodeDown reports whether node i is currently failed.
-func (t *TimeShared) NodeDown(i int) bool { return t.nodes[i].down }
-
-// Load returns the booked processor fraction on node i.
-func (t *TimeShared) Load(i int) float64 { return t.nodes[i].booked }
 
 // NodeHasOverrun reports whether any job on node i has exceeded its
 // estimate (and is therefore holding capacity for an unknown further

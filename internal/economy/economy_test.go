@@ -161,9 +161,6 @@ func TestFlatPrice(t *testing.T) {
 
 func TestTimeOfDayPrice(t *testing.T) {
 	p := TimeOfDayPrice{Base: 1, PeakFactor: 3, PeakStartHour: 9, PeakEndHour: 17}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := p.PriceAt(8 * 3600); got != 1 {
 		t.Errorf("price at 08:00 = %v, want 1 (off-peak)", got)
 	}
@@ -176,19 +173,5 @@ func TestTimeOfDayPrice(t *testing.T) {
 	// Next day's noon is peak again.
 	if got := p.PriceAt(36 * 3600); got != 3 {
 		t.Errorf("price at day 2 noon = %v, want 3", got)
-	}
-}
-
-func TestTimeOfDayPriceValidate(t *testing.T) {
-	bad := []TimeOfDayPrice{
-		{Base: 0, PeakFactor: 2, PeakStartHour: 9, PeakEndHour: 17},
-		{Base: 1, PeakFactor: 0.5, PeakStartHour: 9, PeakEndHour: 17},
-		{Base: 1, PeakFactor: 2, PeakStartHour: 17, PeakEndHour: 9},
-		{Base: 1, PeakFactor: 2, PeakStartHour: 9, PeakEndHour: 25},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("tariff %d accepted", i)
-		}
 	}
 }

@@ -1,9 +1,6 @@
 package economy
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // PriceSchedule quotes the commodity base price in effect at a given
 // simulation time. The paper notes commodity prices "can be flat or
@@ -31,20 +28,6 @@ type TimeOfDayPrice struct {
 	// PeakStartHour and PeakEndHour bound the daily peak window in hours
 	// of virtual day, [start, end) with start < end.
 	PeakStartHour, PeakEndHour float64
-}
-
-// Validate checks the tariff.
-func (p TimeOfDayPrice) Validate() error {
-	if p.Base <= 0 {
-		return fmt.Errorf("economy: non-positive base price %v", p.Base)
-	}
-	if p.PeakFactor < 1 {
-		return fmt.Errorf("economy: peak factor %v < 1", p.PeakFactor)
-	}
-	if p.PeakStartHour < 0 || p.PeakEndHour > 24 || p.PeakStartHour >= p.PeakEndHour {
-		return fmt.Errorf("economy: bad peak window [%v, %v)", p.PeakStartHour, p.PeakEndHour)
-	}
-	return nil
 }
 
 // PriceAt returns the tariff price at time t.

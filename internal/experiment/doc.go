@@ -39,6 +39,6 @@
 // Beyond the paper's grid, the package provides series builders for the
 // risk plots ([Results.SeparateSeries], [Results.IntegratedSeries]), the
 // paper's conclusion and a-priori use ([Results.Recommend],
-// [Results.APriori]), crossover detection ([FindCrossovers]), and
-// bootstrap ranking stability ([RankFirstProbability]).
+// [Results.APriori]), and bootstrap ranking stability
+// ([RankFirstProbability]).
 package experiment

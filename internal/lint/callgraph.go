@@ -3,21 +3,22 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
 // This file builds the whole-program view the call-graph analyzers
-// (detflow, hotalloc) run over. The graph is deliberately simple and
-// over-approximate in the direction that keeps the determinism guarantee
-// sound:
+// (detflow, hotalloc, deadcode) run over. The graph is deliberately simple
+// and over-approximate in the direction that keeps the determinism
+// guarantee sound:
 //
 //   - A static call edge is added for every function or method a body
 //     calls.
 //   - A *reference* to a function or method as a value (a sim.Handler
-//     passed to Engine.Schedule, a scheduler.Factory, a method value) also
-//     adds an edge: the referenced code can run on behalf of the
+//     passed to Engine.MustSchedule, a scheduler.Factory, a method value)
+//     also adds an edge: the referenced code can run on behalf of the
 //     referencing function even though the call site is a plain h().
 //   - A call through a module-defined interface (scheduler.Policy,
 //     obs.Reporter, ...) fans out to every concrete method in the module
@@ -67,10 +68,17 @@ type taintTrace struct {
 // analyzers query. It is built once per linter run and shared by every
 // pass.
 type Program struct {
+	pkgs  []*Package
 	funcs map[*types.Func]*funcNode
 	// impls maps a module-defined interface method to the concrete module
 	// methods implementing it, sorted by full name.
 	impls map[*types.Func][]*types.Func
+	// concrete lists every named non-interface module type and its pointer,
+	// the candidates an interface is matched against.
+	concrete []types.Type
+	// initRefs are the functions package-level variable initializers call
+	// or reference, in package and source order.
+	initRefs []*types.Func
 	// allows is the merged suppression set of every loaded package; a
 	// //lint:allow wallclock/globalrand/detflow directive on a direct call
 	// site sanitizes it for taint purposes.
@@ -83,12 +91,17 @@ type Program struct {
 	// hotReach maps every function reachable from a //lint:hot root to
 	// that root (the nearest one in deterministic BFS order).
 	hotReach map[*types.Func]*types.Func
+
+	// reached is the set deadcode's forward pass marks from the program
+	// roots; nil until the pass has run.
+	reached map[*types.Func]bool
 }
 
 // buildProgram assembles the call graph over the given packages (the whole
 // loaded closure) with the merged allow set acting as taint sanitizers.
 func buildProgram(pkgs []*Package, allows allowSet) *Program {
 	p := &Program{
+		pkgs:   pkgs,
 		funcs:  map[*types.Func]*funcNode{},
 		impls:  map[*types.Func][]*types.Func{},
 		allows: allows,
@@ -96,6 +109,9 @@ func buildProgram(pkgs []*Package, allows allowSet) *Program {
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					p.initRefs = append(p.initRefs, referencedFuncs(pkg, gd)...)
+				}
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
 					continue
@@ -115,7 +131,7 @@ func buildProgram(pkgs []*Package, allows allowSet) *Program {
 	}
 	p.buildImpls(pkgs)
 	for _, n := range p.funcs {
-		n.callees = collectCallees(n.pkg, n.decl)
+		n.callees = referencedFuncs(n.pkg, n.decl.Body)
 	}
 	return p
 }
@@ -141,7 +157,6 @@ func hasHotDirective(fd *ast.FuncDecl) bool {
 // reachability analyses.
 func (p *Program) buildImpls(pkgs []*Package) {
 	var ifaces []*types.Interface
-	var concrete []types.Type
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
 		for _, name := range scope.Names() {
@@ -159,28 +174,34 @@ func (p *Program) buildImpls(pkgs []*Package) {
 				}
 				continue
 			}
-			concrete = append(concrete, named, types.NewPointer(named))
+			p.concrete = append(p.concrete, named, types.NewPointer(named))
 		}
 	}
 	for _, iface := range ifaces {
-		for _, t := range concrete {
-			if !types.Implements(t, iface) {
-				continue
-			}
-			for i := 0; i < iface.NumMethods(); i++ {
-				im := iface.Method(i)
-				obj, _, _ := types.LookupFieldOrMethod(t, true, im.Pkg(), im.Name())
-				cm, ok := obj.(*types.Func)
-				if !ok || cm == im {
-					continue
-				}
-				p.impls[im] = append(p.impls[im], cm)
-			}
-		}
+		p.eachImpl(iface, func(im, cm *types.Func) {
+			p.impls[im] = append(p.impls[im], cm)
+		})
 	}
 	for im, cms := range p.impls {
 		sort.Slice(cms, func(i, j int) bool { return cms[i].FullName() < cms[j].FullName() })
 		p.impls[im] = dedupFuncs(cms)
+	}
+}
+
+// eachImpl calls visit with every method of iface and each concrete module
+// method implementing it, in p.concrete order.
+func (p *Program) eachImpl(iface *types.Interface, visit func(im, cm *types.Func)) {
+	for _, t := range p.concrete {
+		if !types.Implements(t, iface) {
+			continue
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			im := iface.Method(i)
+			obj, _, _ := types.LookupFieldOrMethod(t, true, im.Pkg(), im.Name())
+			if cm, ok := obj.(*types.Func); ok && cm != im {
+				visit(im, cm)
+			}
+		}
 	}
 }
 
@@ -195,13 +216,14 @@ func dedupFuncs(fns []*types.Func) []*types.Func {
 	return out
 }
 
-// collectCallees walks one declaration body (including nested function
-// literals, whose work is attributed to the enclosing declaration) and
-// returns every function or method it calls or references as a value,
-// sorted by full name.
-func collectCallees(pkg *Package, fd *ast.FuncDecl) []*types.Func {
+// referencedFuncs walks one syntax tree (a declaration body, including
+// nested function literals, whose work is attributed to the enclosing
+// declaration, or a package-level var declaration) and returns every
+// function or method it calls or references as a value, sorted by full
+// name.
+func referencedFuncs(pkg *Package, root ast.Node) []*types.Func {
 	seen := map[*types.Func]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(root, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			if sel, ok := n.(*ast.SelectorExpr); ok {

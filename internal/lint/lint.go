@@ -32,7 +32,7 @@ type Analyzer struct {
 	// Tests marks the analyzer as applying to _test.go files when the run
 	// includes them (Options.Tests). Rules that stay off in tests document
 	// why: test assertions legitimately compare exact floats, and the
-	// call-graph rules (detflow, hotalloc) bind production entry points.
+	// call-graph rules (detflow, hotalloc, deadcode) bind production code.
 	Tests bool
 	// Run inspects one package, reporting through the pass.
 	Run func(*Pass)
@@ -41,9 +41,9 @@ type Analyzer struct {
 // Pass carries one analyzer run over one package.
 type Pass struct {
 	Pkg *Package
-	// Prog is the whole-program view over every package the run loaded
-	// (the requested patterns plus their module-internal import closure);
-	// the call-graph analyzers resolve reachability through it.
+	// Prog is the whole-program view over every package of the module,
+	// whatever the requested patterns; the call-graph analyzers resolve
+	// reachability through it.
 	Prog     *Program
 	findings []Finding
 }
@@ -59,6 +59,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full rule catalog in report order.
 func All() []*Analyzer {
 	return []*Analyzer{
+		deadcodeAnalyzer,
 		detflowAnalyzer,
 		errignoreAnalyzer,
 		floateqAnalyzer,
@@ -93,15 +94,6 @@ type Options struct {
 	Tests bool
 }
 
-// Run loads the patterns from the module rooted at root and applies the
-// analyzers, returning suppression-filtered findings deduplicated and
-// sorted by position. Malformed //lint:allow directives are themselves
-// reported under the "directive" rule, so a typo cannot silently disable a
-// suppression.
-func Run(root string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	return RunWith(root, patterns, analyzers, Options{})
-}
-
 // pkgView is one analyzed compilation of a package: its files, the
 // suppression set scanned from them, and the directive-hygiene findings.
 type pkgView struct {
@@ -116,7 +108,11 @@ func newView(pkg *Package) *pkgView {
 	return v
 }
 
-// RunWith is Run with explicit Options.
+// RunWith loads the patterns from the module rooted at root and applies
+// the analyzers, returning suppression-filtered findings deduplicated and
+// sorted by position. Malformed //lint:allow directives are themselves
+// reported under the "directive" rule, so a typo cannot silently disable a
+// suppression.
 func RunWith(root string, patterns []string, analyzers []*Analyzer, opts Options) ([]Finding, error) {
 	l, err := NewLoader(root)
 	if err != nil {
@@ -124,6 +120,12 @@ func RunWith(root string, patterns []string, analyzers []*Analyzer, opts Options
 	}
 	pkgs, err := l.Load(patterns)
 	if err != nil {
+		return nil, err
+	}
+	// The call graph spans the whole module whatever the patterns: the
+	// programs deadcode walks from live in cmd/ and examples/, and a run on
+	// a sub-pattern must report what the ./... run reports.
+	if _, err := l.Load([]string{"./..."}); err != nil {
 		return nil, err
 	}
 

@@ -99,6 +99,39 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 }
 
+// TestDeadcodeIndependentOfTestsAndPattern pins that deadcode findings
+// depend neither on -tests (test files never count as callers) nor on the
+// package pattern (the call graph always spans the whole module).
+func TestDeadcodeIndependentOfTestsAndPattern(t *testing.T) {
+	root := filepath.Join("testdata", "src")
+	render := func(pattern string, opts Options) string {
+		findings, err := RunWith(root, []string{pattern}, []*Analyzer{deadcodeAnalyzer}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, f := range findings {
+			if f.Rule == "deadcode" {
+				fmt.Fprintln(&b, f)
+			}
+		}
+		return b.String()
+	}
+	whole := render("./...", Options{})
+	if whole == "" {
+		t.Fatal("no deadcode findings on the corpus")
+	}
+	if withTests := render("./...", Options{Tests: true}); withTests != whole {
+		t.Errorf("-tests changed the findings:\n--- without ---\n%s--- with ---\n%s", whole, withTests)
+	}
+	if sub := render("./internal/deadcode", Options{Tests: true}); sub != whole {
+		t.Errorf("a run on the fixture package differs from the ./... run:\n--- ./... ---\n%s--- ./internal/deadcode ---\n%s", whole, sub)
+	}
+	if sub := render("./internal/stats", Options{}); sub != "" {
+		t.Errorf("a run on a package that main reaches reported:\n%s", sub)
+	}
+}
+
 // TestRepoIsClean runs the whole suite over the real tree: the repository
 // must stay free of findings (legitimate exceptions carry documented
 // //lint:allow directives).
@@ -107,7 +140,7 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Run(root, []string{"./..."}, All())
+	findings, err := RunWith(root, []string{"./..."}, All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,6 @@ func NewLoader(root string) (*Loader, error) {
 	}, nil
 }
 
-// Module returns the module path from go.mod.
-func (l *Loader) Module() string { return l.module }
-
 // modulePath extracts the module path from a go.mod file.
 func modulePath(gomod string) (string, error) {
 	data, err := os.ReadFile(gomod)
@@ -210,23 +207,10 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	p, err := l.checkFiles(path, dir, files, l)
+	if err != nil {
+		return nil, err
 	}
-	var errs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { errs = append(errs, err) },
-	}
-	tpkg, _ := conf.Check(path, l.Fset, files, info)
-	if len(errs) > 0 {
-		return nil, fmt.Errorf("lint: type-checking %s: %v (%d error(s))", path, errs[0], len(errs))
-	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -257,7 +241,9 @@ func (l *Loader) Packages() []*Package {
 // *types.Info — but its imports still resolve through the Loader's cache,
 // so an in-package test importing a package that itself imports the package
 // under test sees the cached non-test compilation rather than tripping the
-// import-cycle guard (exactly how `go test` builds test binaries).
+// import-cycle guard (exactly how `go test` builds test binaries). The
+// external package imports the augmented view instead, as `go test` does,
+// so a hook an export_test.go file declares is visible to it.
 func (l *Loader) LoadTests(pkg *Package) (aug, ext *Package, err error) {
 	entries, err := os.ReadDir(pkg.Dir)
 	if err != nil {
@@ -279,15 +265,17 @@ func (l *Loader) LoadTests(pkg *Package) (aug, ext *Package, err error) {
 			extFiles = append(extFiles, f)
 		}
 	}
+	var extImporter types.Importer = l
 	if len(inFiles) > 0 {
 		files := append(append([]*ast.File{}, pkg.Files...), inFiles...)
-		aug, err = l.checkFiles(pkg.Path, pkg.Dir, files)
+		aug, err = l.checkFiles(pkg.Path, pkg.Dir, files, l)
 		if err != nil {
 			return nil, nil, err
 		}
+		extImporter = &testVariant{l: l, under: pkg.Path, pkgs: map[string]*types.Package{pkg.Path: aug.Types}}
 	}
 	if len(extFiles) > 0 {
-		ext, err = l.checkFiles(pkg.Path+"_test", pkg.Dir, extFiles)
+		ext, err = l.checkFiles(pkg.Path+"_test", pkg.Dir, extFiles, extImporter)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -295,10 +283,55 @@ func (l *Loader) LoadTests(pkg *Package) (aug, ext *Package, err error) {
 	return aug, ext, nil
 }
 
-// checkFiles type-checks an explicit file list as one package, without
-// touching the Loader's cache (used for the test views, which must not
-// shadow the canonical non-test compilations the call graph is built on).
-func (l *Loader) checkFiles(path, dir string, files []*ast.File) (*Package, error) {
+// testVariant resolves the imports of an external test package as `go
+// test` does: the package under test is its augmented compilation, and
+// every module package importing it, directly or not, is recompiled
+// against that compilation, so the test sees one set of its types.
+type testVariant struct {
+	l     *Loader
+	under string                    // import path of the package under test
+	pkgs  map[string]*types.Package // resolved imports, by path
+}
+
+func (v *testVariant) Import(path string) (*types.Package, error) {
+	if tp, ok := v.pkgs[path]; ok {
+		return tp, nil
+	}
+	tp, err := v.l.Import(path)
+	if err != nil {
+		return nil, err
+	}
+	if p, inModule := v.l.pkgs[path]; inModule && imports(tp, v.under, map[*types.Package]bool{}) {
+		re, err := v.l.checkFiles(path, p.Dir, p.Files, v)
+		if err != nil {
+			return nil, err
+		}
+		tp = re.Types
+	}
+	v.pkgs[path] = tp
+	return tp, nil
+}
+
+// imports reports whether pkg imports the package at path, directly or
+// through other imports.
+func imports(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[pkg] {
+		return false
+	}
+	seen[pkg] = true
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path || imports(imp, path, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkFiles type-checks an explicit file list as one package, resolving
+// imports through imp. It does not touch the Loader's cache: check caches
+// the canonical non-test compilations the call graph is built on, and the
+// test views must not shadow them.
+func (l *Loader) checkFiles(path, dir string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -307,7 +340,7 @@ func (l *Loader) checkFiles(path, dir string, files []*ast.File) (*Package, erro
 	}
 	var errs []error
 	conf := types.Config{
-		Importer: l,
+		Importer: imp,
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.Fset, files, info)

@@ -1,0 +1,4 @@
+package exporttest
+
+// Double exposes double to the external test package.
+var Double = double

@@ -7,6 +7,9 @@
 //	reliability   Eq. 3: % of accepted jobs with SLA fulfilled;
 //	profitability Eq. 4: % of total submitted budget earned as utility.
 //
+// Table I classifies the first three as user-centric and profitability as
+// provider-centric.
+//
 // It also computes the Computation-at-Risk–style slowdown and response-time
 // summaries the related work (Kleban & Clearwater) measures, used by the
 // extension benches.

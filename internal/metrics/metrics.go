@@ -228,14 +228,6 @@ func (c *Collector) Report() Report {
 	return r
 }
 
-// ObjectiveFocus maps each objective to its focus per Table I.
-var ObjectiveFocus = map[string]string{
-	"wait":          "user-centric",
-	"SLA":           "user-centric",
-	"reliability":   "user-centric",
-	"profitability": "provider-centric",
-}
-
 // AverageReports returns the field-wise mean of several reports — the
 // replication support of the experiment suite. Count fields are rounded to
 // the nearest integer. Panics on an empty slice.

@@ -171,24 +171,6 @@ func TestOutcomesOrder(t *testing.T) {
 	}
 }
 
-// Table I: three user-centric objectives and one provider-centric.
-func TestObjectiveFocus(t *testing.T) {
-	want := map[string]string{
-		"wait":          "user-centric",
-		"SLA":           "user-centric",
-		"reliability":   "user-centric",
-		"profitability": "provider-centric",
-	}
-	if len(ObjectiveFocus) != len(want) {
-		t.Fatalf("ObjectiveFocus has %d entries, want %d", len(ObjectiveFocus), len(want))
-	}
-	for k, v := range want {
-		if ObjectiveFocus[k] != v {
-			t.Errorf("ObjectiveFocus[%q] = %q, want %q", k, ObjectiveFocus[k], v)
-		}
-	}
-}
-
 func TestWriteOutcomesCSV(t *testing.T) {
 	c := NewCollector()
 	j1 := mkJob(1, 0, 100, 200, 100)

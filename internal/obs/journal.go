@@ -134,6 +134,8 @@ func (j *Journal) SuiteDone(Summary) {
 // run executed the cell) — cleared. Two runs of the same configuration are
 // deterministic exactly when their canonical journals are byte-identical,
 // regardless of worker count, completion order, or resume boundaries.
+//
+//lint:allow deadcode — the journal oracle the experiment fault tests compare runs with
 func CanonicalJournal(recs map[string]Record) ([]byte, error) {
 	keys := make([]string, 0, len(recs))
 	for k := range recs {

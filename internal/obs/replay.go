@@ -20,9 +20,6 @@ type SessionRecord struct {
 	Final     *SessionFinal
 }
 
-// Finalized reports whether the journal carried a final report line.
-func (r *SessionRecord) Finalized() bool { return r.Final != nil }
-
 // ParseSessionJournal parses NDJSON session-journal bytes back into a
 // SessionRecord, line by line through OpenSessionJournal and Append. The
 // format is strict — exactly one "session" header line first, then zero or

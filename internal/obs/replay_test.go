@@ -41,8 +41,8 @@ func TestParseSessionJournalRoundTrip(t *testing.T) {
 		if len(rec.Decisions) != 3 {
 			t.Fatalf("decisions: %d, want 3", len(rec.Decisions))
 		}
-		if rec.Finalized() != final {
-			t.Fatalf("finalized: %v, want %v", rec.Finalized(), final)
+		if (rec.Final != nil) != final {
+			t.Fatalf("final report present: %v, want %v", rec.Final != nil, final)
 		}
 		if !rec.Decisions[0].HighUrgency || rec.Decisions[1].HighUrgency {
 			t.Fatalf("high-urgency flags lost: %+v", rec.Decisions[:2])

@@ -2,7 +2,6 @@ package plot
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/risk"
@@ -220,11 +219,6 @@ func SummaryTable(series []risk.Series) (string, error) {
 			sum.MaxVolatility, sum.MinVolatility, sum.VolatilityDifference, risk.TrendGradient(s))
 	}
 	return b.String(), nil
-}
-
-// SortSeries orders series by policy name for stable output.
-func SortSeries(series []risk.Series) {
-	sort.Slice(series, func(i, j int) bool { return series[i].Policy < series[j].Policy })
 }
 
 func escapeXML(s string) string {

@@ -129,14 +129,6 @@ func TestSummaryTable(t *testing.T) {
 	}
 }
 
-func TestSortSeries(t *testing.T) {
-	s := []risk.Series{{Policy: "b"}, {Policy: "a"}}
-	SortSeries(s)
-	if s[0].Policy != "a" {
-		t.Error("SortSeries did not sort")
-	}
-}
-
 func TestMarkerCycles(t *testing.T) {
 	if Marker(0) == Marker(1) {
 		t.Error("adjacent markers identical")

@@ -233,3 +233,19 @@ func TrendGradient(s Series) Gradient {
 		return GradientIncreasing
 	}
 }
+
+// MostVolatileScenario returns the index and label of the series' point
+// with the highest volatility — the scenario that drives the policy's risk
+// the hardest, the attribution a provider reads off a risk plot.
+func MostVolatileScenario(s Series) (int, string, error) {
+	if len(s.Points) == 0 {
+		return 0, "", fmt.Errorf("risk: volatility attribution over empty series %q", s.Policy)
+	}
+	best := 0
+	for i, p := range s.Points {
+		if p.Volatility > s.Points[best].Volatility {
+			best = i
+		}
+	}
+	return best, s.Label(best), nil
+}

@@ -43,16 +43,6 @@ func (o Objective) String() string {
 	}
 }
 
-// ObjectiveByName parses an objective abbreviation.
-func ObjectiveByName(name string) (Objective, error) {
-	for _, o := range AllObjectives {
-		if o.String() == name {
-			return o, nil
-		}
-	}
-	return 0, fmt.Errorf("risk: unknown objective %q", name)
-}
-
 // Raw extracts the raw value of an objective from a simulation report:
 // seconds for wait, percentages for the rest.
 func Raw(o Objective, r metrics.Report) float64 {

@@ -14,13 +14,6 @@ func TestObjectiveNames(t *testing.T) {
 		if o.String() != want[i] {
 			t.Errorf("objective %d String() = %q, want %q", i, o.String(), want[i])
 		}
-		back, err := ObjectiveByName(want[i])
-		if err != nil || back != o {
-			t.Errorf("ObjectiveByName(%q) = %v, %v", want[i], back, err)
-		}
-	}
-	if _, err := ObjectiveByName("nope"); err == nil {
-		t.Error("unknown objective name accepted")
 	}
 	if len(AllObjectives) != NumObjectives {
 		t.Errorf("AllObjectives has %d entries, want %d", len(AllObjectives), NumObjectives)
@@ -447,5 +440,23 @@ func TestQualifySeries(t *testing.T) {
 	}
 	if out[0].Points[0] != in[0].Points[0] || out[0].Label(0) != "workload" {
 		t.Error("qualification changed points or labels")
+	}
+}
+
+func TestMostVolatileScenario(t *testing.T) {
+	s := Series{
+		Policy: "p",
+		Points: []Point{{0.9, 0.1}, {0.5, 0.4}, {0.7, 0.2}},
+		Labels: []string{"job mix", "workload", "inaccuracy"},
+	}
+	idx, label, err := MostVolatileScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx != 1 || label != "workload" {
+		t.Errorf("attribution = %d/%q, want 1/workload", idx, label)
+	}
+	if _, _, err := MostVolatileScenario(Series{Policy: "e"}); err == nil {
+		t.Error("empty series accepted")
 	}
 }

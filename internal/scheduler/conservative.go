@@ -23,6 +23,8 @@ type conservative struct {
 
 // NewFCFSConservative returns First Come First Serve with conservative
 // backfilling.
+//
+//lint:allow deadcode — ablation policy; BenchmarkAblationBackfillVariant in bench_test.go runs it
 func NewFCFSConservative(ctx *Context) Policy {
 	return &conservative{
 		ctx:     ctx,

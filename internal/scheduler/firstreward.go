@@ -70,6 +70,8 @@ func NewFirstRewardTuned(ctx *Context, alpha, discount, threshold float64) Polic
 // the admission test's opportunity cost and the earned utility cap each
 // job's loss at its budget. It accepts more work than the unbounded
 // variant, trading penalty exposure for throughput.
+//
+//lint:allow deadcode — ablation policy; BenchmarkAblationPenaltyBound in bench_test.go runs it
 func NewFirstRewardBounded(ctx *Context) Policy {
 	p := NewFirstRewardTuned(ctx, firstRewardAlpha, firstRewardDiscount, firstRewardThreshold).(*firstReward)
 	p.bounded = true

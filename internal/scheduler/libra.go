@@ -69,6 +69,8 @@ func NewLibraDollar(ctx *Context) Policy { return newLibra(ctx, variantLibraDoll
 
 // NewLibraDollarTuned returns Libra+$ with explicit pricing-component
 // weights; the β ablation bench sweeps these.
+//
+//lint:allow deadcode — ablation policy; BenchmarkAblationBeta in bench_test.go sweeps it
 func NewLibraDollarTuned(ctx *Context, alpha, beta float64) Policy {
 	p := newLibra(ctx, variantLibraDollar, "Libra+$").(*libraPolicy)
 	p.alpha, p.beta = alpha, beta
@@ -81,6 +83,8 @@ func NewLibraRiskD(ctx *Context) Policy { return newLibra(ctx, variantLibraRiskD
 // NewLibraTerminate returns Libra with deadline termination (the
 // preemptive extension): jobs still running at their deadline are killed
 // instead of squeezing the node.
+//
+//lint:allow deadcode — ablation policy; BenchmarkAblationTermination in bench_test.go runs it
 func NewLibraTerminate(ctx *Context) Policy {
 	p := newLibra(ctx, variantLibra, "LibraT").(*libraPolicy)
 	p.terminate = true

@@ -13,12 +13,16 @@ package scheduler
 
 // NewFCFSNoAC returns First Come First Serve backfilling without admission
 // control.
+//
+//lint:allow deadcode — ablation policy; BenchmarkAblationAdmissionControl in bench_test.go and TestClaimAdmissionControlMatters in integration_test.go run it
 func NewFCFSNoAC(ctx *Context) Policy {
 	return newBackfill(ctx, "FCFS-BF/noAC", bySubmit, false)
 }
 
 // NewEDFNoAC returns Earliest Deadline First backfilling without admission
 // control.
+//
+//lint:allow deadcode — ablation policy; BenchmarkAblationAdmissionControl in bench_test.go runs it
 func NewEDFNoAC(ctx *Context) Policy {
 	return newBackfill(ctx, "EDF-BF/noAC", byDeadline, false)
 }

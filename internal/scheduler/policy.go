@@ -250,7 +250,7 @@ func Run(jobs []*workload.Job, factory Factory, cfg RunConfig) (metrics.Report, 
 		return metrics.Report{}, err
 	}
 	for _, j := range jobs {
-		if _, err := s.submit(j); err != nil {
+		if _, err := s.SubmitQuoteless(j); err != nil {
 			return metrics.Report{}, err
 		}
 	}

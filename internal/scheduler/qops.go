@@ -25,6 +25,8 @@ type qops struct {
 }
 
 // NewQoPS returns the QoPS extension policy.
+//
+//lint:allow deadcode — ablation policy; BenchmarkAblationGuaranteedAdmission in bench_test.go runs it
 func NewQoPS(ctx *Context) Policy {
 	return &qops{ctx: ctx, cluster: newSpaceCluster(ctx)}
 }

@@ -152,17 +152,18 @@ func (s *Session) Finalized() bool { return s.finalized }
 // times must be non-decreasing; the job must carry QoS parameters and fit
 // the machine.
 func (s *Session) Submit(j *workload.Job) (Decision, error) {
-	adm, err := s.submit(j)
+	adm, err := s.SubmitQuoteless(j)
 	if err != nil {
 		return Decision{}, err
 	}
-	return Decision{Admission: adm, Quote: s.quote(j)}, nil
+	return Decision{Admission: adm, Quote: s.QuoteFor(j)}, nil
 }
 
-// submit is the quote-free submission path the batch Run uses: pricing a
-// job the caller will never read (the Libra family walks candidate nodes
-// to quote) is pure overhead at trace scale.
-func (s *Session) submit(j *workload.Job) (Admission, error) {
+// SubmitQuoteless is Submit without the price quote, the path of the batch
+// runs (scheduler.Run and the federation meta-broker's placement step):
+// pricing a job the caller will never read (the Libra family walks
+// candidate nodes to quote) is pure overhead at trace scale.
+func (s *Session) SubmitQuoteless(j *workload.Job) (Admission, error) {
 	if s.finalized {
 		return AdmissionPending, fmt.Errorf("scheduler: job %d submitted to a finalized session", j.ID)
 	}
@@ -194,20 +195,21 @@ func (s *Session) submit(j *workload.Job) (Admission, error) {
 	}
 }
 
-// SubmitQuoteless is the quote-free submission path for batch drivers (the
-// federation meta-broker's placement step): identical to Submit except that
-// no price is computed, which matters at trace scale — see submit.
-func (s *Session) SubmitQuoteless(j *workload.Job) (Admission, error) {
-	return s.submit(j)
-}
-
 // QuoteFor prices a job under the session's economic model at the current
 // virtual instant without submitting it: the bid itself under the bid-based
 // model, the policy's own pricing function when it quotes one (the Libra
 // family), and the flat base charge otherwise. This is the quote-shopping
 // probe the federation meta-broker uses for every policy, not just the
 // Quoter implementations.
-func (s *Session) QuoteFor(j *workload.Job) float64 { return s.quote(j) }
+func (s *Session) QuoteFor(j *workload.Job) float64 {
+	if s.ctx.Model == economy.BidBased {
+		return j.Budget
+	}
+	if q, ok := s.policy.(Quoter); ok {
+		return q.Quote(j)
+	}
+	return economy.BaseCharge(j.Estimate, s.ctx.PriceAt(float64(s.engine.Now())))
+}
 
 // AdvanceTo dispatches every pending event up to and including virtual time
 // t without submitting anything — completions, lapses, and injected faults
@@ -237,20 +239,6 @@ func (s *Session) EarliestAvailable(procs int) (float64, error) {
 		return ae.EarliestAvailable(procs)
 	}
 	return s.Now(), nil
-}
-
-// quote prices the job under the session's economic model at the current
-// instant: the bid itself under the bid-based model, otherwise the policy's
-// commodity charge (flat base charge unless the policy quotes its own
-// pricing function).
-func (s *Session) quote(j *workload.Job) float64 {
-	if s.ctx.Model == economy.BidBased {
-		return j.Budget
-	}
-	if q, ok := s.policy.(Quoter); ok {
-		return q.Quote(j)
-	}
-	return economy.BaseCharge(j.Estimate, s.ctx.PriceAt(float64(s.engine.Now())))
 }
 
 // Snapshot returns the live mid-simulation report over everything settled

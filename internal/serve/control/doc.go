@@ -17,10 +17,12 @@
 // after a join) imports the shadow on the destination, which rebuilds the
 // session by deterministic replay (serve.ImportSession) and refuses any
 // journal whose replay is not bit-identical, and then releases the source;
-// a crash recovery imports the shadow onto a new owner. Either way the
-// rebuilt session is byte-for-byte the session the client was talking to,
-// so a migration can never change an observable byte. A worker success
-// the shadow cannot record is answered 502, never passed on.
+// a recovery imports the shadow onto the session's ring owner, after a
+// crash or after a live worker answered 404 for a session it lost (a
+// restart, an idle eviction). Either way the rebuilt session is
+// byte-for-byte the session the client was talking to, so a migration can
+// never change an observable byte. A worker success the shadow cannot
+// record is answered 502, never passed on.
 //
 // Lock discipline: plane.mu guards the worker registry, the ring, and the
 // route table, and is never held across worker I/O. Each route (one per

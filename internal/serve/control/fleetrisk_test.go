@@ -168,7 +168,7 @@ func TestFleetRiskSurvivesCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := p.Risk().Snapshot()
+	snap := p.risk.Snapshot()
 	for _, s := range snap.Sessions {
 		if s.ID != id {
 			continue

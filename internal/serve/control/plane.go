@@ -126,9 +126,6 @@ func New(cfg Config) *Plane {
 // Handler returns the plane's root handler.
 func (p *Plane) Handler() http.Handler { return p.mux }
 
-// Risk exposes the plane's fleet-wide streaming risk engine.
-func (p *Plane) Risk() *streamrisk.Engine { return p.risk }
-
 // Sessions returns the number of routed sessions.
 func (p *Plane) Sessions() int {
 	p.mu.Lock()
@@ -338,11 +335,11 @@ func (p *Plane) moveRoute(r *route, dst string) error {
 	return nil
 }
 
-// recoverRoute re-places one session after its worker stopped answering:
-// the worker is declared dead and the shadow journal is imported onto the
-// session's new ring owner. Caller holds r.mu.
+// recoverRoute re-places one session its worker lost — the worker stopped
+// answering, or answers but no longer holds the session (a restart, an
+// idle eviction): the shadow journal is imported onto the session's ring
+// owner, which may be that same worker. Caller holds r.mu.
 func (p *Plane) recoverRoute(r *route) error {
-	p.markDead(r.worker)
 	dst := p.ownerFor(r.id)
 	if dst == "" {
 		return fmt.Errorf("control: no healthy workers to recover session %s onto", r.id)
@@ -373,18 +370,25 @@ func (p *Plane) importShadow(r *route, dst string) error {
 }
 
 // forward proxies one session-scoped request to the session's current
-// worker, recovering the session onto a new owner (and retrying once) if
-// the worker does not answer. When none answers it writes the 503 itself
-// and reports false. Caller holds rt.mu.
+// worker, recovering the session (and retrying once) if the worker does
+// not answer — it is then declared dead — or answers 404, having lost the
+// session. When the retry cannot be made it writes the 503 itself and
+// reports false. Caller holds rt.mu.
 func (p *Plane) forward(w http.ResponseWriter, rt *route, r *http.Request, body []byte) (reply, bool) {
 	for attempt := 0; ; attempt++ {
-		if url, ok := p.workerURL(rt.worker); ok {
-			if rep, err := p.do(r.Method, url+r.URL.Path, body); err == nil {
+		url, answered := p.workerURL(rt.worker)
+		if answered {
+			rep, err := p.do(r.Method, url+r.URL.Path, body)
+			if err == nil && (rep.status != http.StatusNotFound || attempt > 0) {
 				return rep, true
 			}
+			answered = err == nil
 		}
 		var err error
 		if attempt == 0 {
+			if !answered {
+				p.markDead(rt.worker)
+			}
 			err = p.recoverRoute(rt)
 		} else {
 			err = fmt.Errorf("control: session %s unreachable after recovery", rt.id)

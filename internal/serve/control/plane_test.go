@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/qos"
 	"repro/internal/serve"
@@ -243,6 +245,87 @@ func TestPlaneCrashRecovery(t *testing.T) {
 		if w.Name == owner && w.Healthy {
 			t.Errorf("dead worker %s still marked healthy", owner)
 		}
+	}
+}
+
+// A worker that restarts under its own name comes back empty, and the
+// ring still names it the session's owner, so no rebalance moves the
+// session: the next request reaches a worker that answers 404. The plane
+// rebuilds the session there from its shadow journal, retries, and keeps
+// the worker healthy; the run stays byte-identical to an uninterrupted one.
+func TestPlaneRecoversSessionFromRestartedWorker(t *testing.T) {
+	p, _ := newFleet(t, 1)
+	h := p.Handler()
+	create := serve.CreateSessionRequest{Policy: "Libra+$", Model: "commodity"}
+	jobs := testTrace(t, 20, 42)
+	id := createSession(t, p, create)
+	for _, j := range jobs[:10] {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+
+	restarted := newWorker(t)
+	mustDo(t, h, http.MethodPost, "/control/v1/workers",
+		RegisterWorkerRequest{Name: "w-1", URL: restarted.URL}, http.StatusCreated, nil)
+	for _, j := range jobs[10:] {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+	rep, jr := finishSession(t, h, id)
+	repRef, jrRef := referenceRun(t, id, create, jobs)
+	if !bytes.Equal(rep, repRef) {
+		t.Errorf("recovered report diverged from uninterrupted run:\nrecovered:     %s\nuninterrupted: %s", rep, repRef)
+	}
+	if !bytes.Equal(jr, jrRef) {
+		t.Errorf("recovered journal diverged from uninterrupted run:\nrecovered:\n%s\nuninterrupted:\n%s", jr, jrRef)
+	}
+	var top TopologyResponse
+	mustDo(t, h, http.MethodGet, "/control/v1/topology", nil, http.StatusOK, &top)
+	if len(top.Workers) != 1 || !top.Workers[0].Healthy {
+		t.Errorf("a worker that answered 404 was declared dead: %+v", top.Workers)
+	}
+}
+
+// A worker evicts a session left idle past its timeout while the plane
+// still routes it. A DELETE through the plane then meets a 404, rebuilds
+// the session from the shadow and deletes it there: the client gets the
+// final report a standalone DELETE gives, and the route and the session's
+// risk scope go, its final counted.
+func TestPlaneDeleteAfterIdleEviction(t *testing.T) {
+	var clock atomic.Int64
+	srv := serve.New(serve.Config{IdleTimeout: time.Minute, Now: func() time.Time { return time.Unix(0, clock.Load()) }})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	p := New(Config{})
+	h := p.Handler()
+	mustDo(t, h, http.MethodPost, "/control/v1/workers", RegisterWorkerRequest{Name: "w-1", URL: ts.URL}, http.StatusCreated, nil)
+	create := serve.CreateSessionRequest{Policy: "Libra+$", Model: "commodity"}
+	jobs := testTrace(t, 8, 7)
+	id := createSession(t, p, create)
+	for _, j := range jobs {
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+	clock.Store(int64(2 * time.Minute))
+	if evicted := srv.SweepIdle(); len(evicted) != 1 || evicted[0] != id {
+		t.Fatalf("worker evicted %v, want [%s]", evicted, id)
+	}
+
+	del := do(t, h, http.MethodDelete, "/v1/sessions/"+id, nil)
+	if del.Code != http.StatusOK {
+		t.Fatalf("DELETE after eviction: status %d: %s", del.Code, del.Body)
+	}
+	ref := serve.New(serve.Config{}).Handler()
+	create.ID = id
+	mustDo(t, ref, http.MethodPost, "/v1/sessions", create, http.StatusCreated, nil)
+	for _, j := range jobs {
+		mustDo(t, ref, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+	}
+	if refDel := do(t, ref, http.MethodDelete, "/v1/sessions/"+id, nil); !bytes.Equal(del.Body.Bytes(), refDel.Body.Bytes()) {
+		t.Errorf("DELETE body diverged from a standalone DELETE:\nplane:      %s\nstandalone: %s", del.Body, refDel.Body)
+	}
+	if n := p.Sessions(); n != 0 {
+		t.Errorf("%d routes left after the DELETE, want 0", n)
+	}
+	if snap := p.risk.Snapshot(); len(snap.Sessions) != 0 || snap.Global.Finals != 1 {
+		t.Errorf("risk view after the DELETE: %d sessions, %d finals; want 0 and 1", len(snap.Sessions), snap.Global.Finals)
 	}
 }
 

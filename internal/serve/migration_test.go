@@ -318,7 +318,7 @@ func TestWorkerDrain(t *testing.T) {
 	if hr.Status != "draining" || !hr.Draining || hr.Sessions != 1 {
 		t.Fatalf("drain response: %+v", hr)
 	}
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Error("Draining() false after drain")
 	}
 	if w := do(t, h, http.MethodPost, "/v1/sessions", CreateSessionRequest{Policy: "Libra", Model: "commodity"}); w.Code != http.StatusServiceUnavailable {

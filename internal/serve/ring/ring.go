@@ -116,19 +116,6 @@ func (r *Ring) Remove(member string) error {
 // Has reports membership.
 func (r *Ring) Has(member string) bool { return r.members[member] }
 
-// Size returns the member count.
-func (r *Ring) Size() int { return len(r.members) }
-
-// Members returns the membership in sorted order.
-func (r *Ring) Members() []string {
-	ms := make([]string, 0, len(r.members))
-	for m := range r.members {
-		ms = append(ms, m)
-	}
-	sort.Strings(ms)
-	return ms
-}
-
 // Owner returns the member owning a key: the first virtual node at or
 // clockwise of the key's hash. ok is false on an empty ring.
 func (r *Ring) Owner(key string) (member string, ok bool) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -187,4 +188,20 @@ func TestRingMembership(t *testing.T) {
 			t.Fatalf("1-member ring: Owner(%s) = %q, %v", id, o, ok)
 		}
 	}
+}
+
+// Size and Members are test-only views of the membership: routing reads
+// it through Has and Owner.
+
+// Size returns the member count.
+func (r *Ring) Size() int { return len(r.members) }
+
+// Members returns the membership in sorted order.
+func (r *Ring) Members() []string {
+	ms := make([]string, 0, len(r.members))
+	for m := range r.members {
+		ms = append(ms, m)
+	}
+	sort.Strings(ms)
+	return ms
 }

@@ -270,7 +270,7 @@ func TestRiskStreamStalledSubscriberDoesNotBlockAdmission(t *testing.T) {
 		t.Error(err)
 	}
 
-	snap := srv.Risk().Snapshot()
+	snap := srv.stream.Snapshot()
 	if snap.Global.Events != sessions*int64(len(jobsPer)) {
 		t.Fatalf("global events = %d, want %d", snap.Global.Events, sessions*len(jobsPer))
 	}

@@ -116,10 +116,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Risk exposes the streaming risk engine (riskload probes and tests
-// subscribe directly; HTTP consumers use /v1/risk and /v1/risk/stream).
-func (s *Server) Risk() *streamrisk.Engine { return s.stream }
-
 // Handler returns the daemon's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -167,9 +163,6 @@ func (s *Server) limited(h http.HandlerFunc) http.Handler {
 		}
 	})
 }
-
-// Draining reports whether the worker has stopped accepting new sessions.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, HealthResponse{

@@ -19,11 +19,11 @@
 //
 //   - Zero steady-state allocations. Event records live on a per-engine
 //     free list; firing or cancelling an event recycles its record, and the
-//     next Schedule reuses it. Only heap/pool growth allocates.
+//     next ScheduleClass reuses it. Only heap/pool growth allocates.
 //   - No interface dispatch on the hot path. The priority queue is a
 //     concrete binary heap over *event with inlined (time, seq) comparisons
 //     rather than container/heap's interface-driven sift.
-//   - Labels are static strings. Schedule takes the label by value and
+//   - Labels are static strings. ScheduleClass takes the label by value and
 //     never formats it; call sites must not build labels with fmt.Sprintf
 //     in hot paths (the label is diagnostic only).
 //

@@ -33,8 +33,8 @@ const (
 	// ClassInjected is the band of injected environment events (node
 	// failures and repairs): after arrivals, before ordinary events.
 	ClassInjected
-	// ClassDefault is the band of every normally scheduled event; Schedule
-	// and After use it.
+	// ClassDefault is the band of every normally scheduled event;
+	// MustSchedule uses it.
 	ClassDefault
 )
 
@@ -59,12 +59,13 @@ type event struct {
 	label string
 }
 
-// Event is a value handle to a scheduled callback, returned by Schedule.
+// Event is a value handle to a scheduled callback, returned by
+// ScheduleClass and its Must forms.
 // The zero value is a valid "no event" handle: it is never pending, never
 // cancelled, and Cancel of it is a no-op returning false.
 //
 // Handles stay safe after the event fires or is cancelled, even though the
-// underlying record is recycled for later Schedule calls: each handle
+// underlying record is recycled for later scheduling: each handle
 // carries the generation of the record it was minted for, and recycling
 // bumps the generation, so a stale handle can never cancel — or observe —
 // a reused record.
@@ -72,30 +73,13 @@ type Event struct {
 	ev  *event
 	gen uint64
 	at  Time
-	// label is copied into the handle so Label stays valid after the
+	// label is copied into the handle so it stays readable after the
 	// record is recycled.
 	label string
 }
 
-// Time returns the virtual time at which the event fires (or fired). Zero
-// for the zero handle.
-func (e Event) Time() Time { return e.at }
-
-// Label returns the diagnostic label given at scheduling time.
-func (e Event) Label() string { return e.label }
-
-// Scheduled reports whether the handle was obtained from Schedule (the
-// zero "no event" handle reports false).
-func (e Event) Scheduled() bool { return e.ev != nil }
-
 // Pending reports whether the event is still queued to fire.
 func (e Event) Pending() bool { return e.ev != nil && e.ev.gen == e.gen }
-
-// Cancelled reports whether the event has been removed from the queue,
-// either by firing or by Engine.Cancel. A zero-value handle that was never
-// scheduled reports false (it was never queued, so it cannot have been
-// removed) — callers testing "is there still a timer" should use Pending.
-func (e Event) Cancelled() bool { return e.ev != nil && e.ev.gen != e.gen }
 
 // Engine is a discrete event simulation kernel. The zero value is ready to
 // use; NewEngine is provided for symmetry with the rest of the repository.
@@ -119,25 +103,16 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the number of events dispatched so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
-
-// ErrPast is returned by Schedule when the requested time precedes the
+// ErrPast is returned by ScheduleClass when the requested time precedes the
 // current clock.
 var ErrPast = errors.New("sim: event scheduled in the past")
 
-// Schedule queues h to run at time t with a diagnostic label. It returns a
-// handle so the caller may Cancel it later. Scheduling at the current time
-// is allowed (the event fires after the currently running handler returns).
-// The label should be a static string: it is stored, never formatted, and
-// hot paths must not pay for a fmt.Sprintf that is almost never read.
-//
-//lint:hot
-func (e *Engine) Schedule(t Time, label string, h Handler) (Event, error) {
-	return e.ScheduleClass(t, ClassDefault, label, h)
-}
-
-// ScheduleClass is Schedule with an explicit tie-break band (see Class).
+// ScheduleClass queues h to run at time t in tie-break band c (see Class)
+// with a diagnostic label. It returns a handle so the caller may Cancel it
+// later. Scheduling at the current time is allowed (the event fires after
+// the currently running handler returns). The label should be a static
+// string: it is stored, never formatted, and hot paths must not pay for a
+// fmt.Sprintf that is almost never read.
 //
 //lint:hot
 func (e *Engine) ScheduleClass(t Time, c Class, label string, h Handler) (Event, error) {
@@ -171,12 +146,12 @@ func (e *Engine) MustScheduleClass(t Time, c Class, label string, h Handler) Eve
 	return ev
 }
 
-// MustSchedule is Schedule for callers that guarantee t >= Now().
-// It panics on error; the simulation layers use it after clamping times.
-// It calls ScheduleClass directly rather than going through the Schedule
-// wrapper: the two-level call would push this body past the inlining
-// budget, and MustSchedule must stay inlinable — it is the hot-path entry
-// for every event the cluster models schedule.
+// MustSchedule is MustScheduleClass in ClassDefault. It panics on error;
+// the simulation layers use it after clamping times. It calls
+// ScheduleClass directly rather than going through MustScheduleClass: the
+// two-level call would push this body past the inlining budget, and
+// MustSchedule must stay inlinable — it is the hot-path entry for every
+// event the cluster models schedule.
 //
 //lint:hot
 func (e *Engine) MustSchedule(t Time, label string, h Handler) Event {
@@ -185,16 +160,6 @@ func (e *Engine) MustSchedule(t Time, label string, h Handler) Event {
 		panic(err)
 	}
 	return ev
-}
-
-// After schedules h to run d seconds from now.
-//
-//lint:hot
-func (e *Engine) After(d Time, label string, h Handler) Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.MustSchedule(e.now+d, label, h)
 }
 
 // Cancel removes the event from the queue. Cancelling an already-fired or
@@ -236,7 +201,7 @@ func (e *Engine) Step() bool {
 	e.now = ev.time
 	e.fired++
 	h := ev.handler
-	// Recycle before dispatch so the handler's own Schedule calls can
+	// Recycle before dispatch so the handler's own scheduling calls can
 	// reuse the record immediately; h is already copied out.
 	e.recycle(ev)
 	h()

@@ -12,7 +12,7 @@ func Example() {
 	engine := sim.NewEngine()
 	engine.MustSchedule(10, "greet", func() {
 		fmt.Printf("t=%v: job arrives\n", engine.Now())
-		engine.After(5, "finish", func() {
+		engine.MustSchedule(engine.Now()+5, "finish", func() {
 			fmt.Printf("t=%v: job finishes\n", engine.Now())
 		})
 	})

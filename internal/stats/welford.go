@@ -27,9 +27,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// Count returns the number of samples folded in.
-func (w Welford) Count() int64 { return w.n }
-
 // Mean returns the running mean, or 0 with no samples.
 func (w Welford) Mean() float64 {
 	if w.n == 0 {

@@ -16,8 +16,8 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 			xs[i] = rng.Float64()
 			w.Add(xs[i])
 		}
-		if w.Count() != int64(n) {
-			t.Fatalf("trial %d: Count = %d, want %d", trial, w.Count(), n)
+		if w.n != int64(n) {
+			t.Fatalf("trial %d: count = %d, want %d", trial, w.n, n)
 		}
 		if got, want := w.Mean(), Mean(xs); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("trial %d: Mean = %v, want %v", trial, got, want)
@@ -30,7 +30,7 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
-	if w.Count() != 0 || w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
+	if w.n != 0 || w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
 		t.Fatalf("zero-value Welford not zero: %+v", w)
 	}
 	w.Add(0.25)

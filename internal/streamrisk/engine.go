@@ -177,8 +177,12 @@ func (e *Engine) JournalDecision(h obs.SessionHeader, d obs.SessionDecision) {
 		SessionScores: ss.t.snapshot(), PolicyScores: pt.snapshot(),
 		ClusterScores: ct.snapshot(), Global: e.global.snapshot(),
 	}
+	// Hand over hand: the fan-out lock is taken before e.mu is released,
+	// so deltas reach subscribers in seq order.
+	e.fan.mu.Lock()
 	e.mu.Unlock()
-	e.fan.publish(delta)
+	e.fan.publishLocked(delta)
+	e.fan.mu.Unlock()
 }
 
 // JournalFinal ingests one final report (obs.SessionObserver).
@@ -200,8 +204,10 @@ func (e *Engine) JournalFinal(h obs.SessionHeader, r metrics.Report) {
 		SessionScores: ss.t.snapshot(), PolicyScores: pt.snapshot(),
 		ClusterScores: ct.snapshot(), Global: e.global.snapshot(),
 	}
+	e.fan.mu.Lock() // hand over hand, as in JournalDecision
 	e.mu.Unlock()
-	e.fan.publish(delta)
+	e.fan.publishLocked(delta)
+	e.fan.mu.Unlock()
 }
 
 // IngestRecord replays a parsed journal into the engine in journal order —
@@ -352,10 +358,11 @@ func (f *fanout) counts() (published, dropped uint64) {
 	return f.published, f.dropped
 }
 
-// publish copies the delta to every subscriber that has buffer room and
-// flags the rest for resync. Called outside e.mu, after the fold.
-func (f *fanout) publish(d Delta) {
-	f.mu.Lock()
+// publishLocked copies the delta to every subscriber that has buffer room
+// and flags the rest for resync. Callers hold f.mu, taken while they still
+// held e.mu, so deltas are published in the order their seq was assigned;
+// e.mu is released before the sends, so none runs under it.
+func (f *fanout) publishLocked(d Delta) {
 	f.published++
 	for _, s := range f.subs {
 		select {
@@ -365,5 +372,4 @@ func (f *fanout) publish(d Delta) {
 			f.dropped++
 		}
 	}
-	f.mu.Unlock()
 }

@@ -305,6 +305,48 @@ func TestConcurrentIngest(t *testing.T) {
 	}
 }
 
+// Deltas reach a subscriber in seq order even when sessions ingest
+// concurrently: seq is assigned under e.mu, and the fan-out lock is taken
+// before e.mu is released, so no later delta can overtake an earlier one.
+// The buffer holds every delta, so nothing is dropped.
+func TestDeltaSeqStrictlyIncreases(t *testing.T) {
+	const workers, events = 8, 4000
+	e := NewEngine(Config{Window: 8, SubscriberBuffer: workers * events})
+	sub, err := e.Subscribe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Unsubscribe(sub)
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := testHeader(fmt.Sprintf("s-%d", w), "Libra", "commodity")
+			for i := 1; i <= events; i++ {
+				e.JournalDecision(h, dec(i, "accepted", 10, 100, 20, 100))
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if sub.TakeDropped() {
+		t.Fatal("a delta was dropped on a buffer that holds them all")
+	}
+	prev, inversions := uint64(0), 0
+	for i := 0; i < workers*events; i++ {
+		d := <-sub.C()
+		if d.Seq <= prev {
+			inversions++
+		}
+		prev = d.Seq
+	}
+	if inversions > 0 {
+		t.Fatalf("%d deltas arrived with a seq not above the one before", inversions)
+	}
+}
+
 // The steady-state ingest path must not allocate: the bench gate measures
 // it, this pins it in the test suite.
 func TestIngestSteadyStateZeroAlloc(t *testing.T) {

@@ -13,6 +13,8 @@ import (
 // risk.IntegrateEqual — the genuine two-pass Eq. 5–8 computation, not the
 // engine's streaming sums. The differential battery pins the invariant that
 // an Engine fed the same journal reports bit-identical cumulative scores.
+//
+//lint:allow deadcode — the offline oracle the serve, serve/control and cmd/riskserved stream tests compare the live engine against
 func OfflineScores(rec *obs.SessionRecord, windowSize int) (Scores, error) {
 	return OfflineSequence([]*obs.SessionRecord{rec}, windowSize)
 }

@@ -29,21 +29,6 @@ const (
 	EventResync   = "resync"
 )
 
-// WriteEvent writes one SSE frame: the event name and the payload, a
-// Snapshot or a Delta, as compact JSON (the bytes json.Marshal produces).
-func WriteEvent(w io.Writer, event string, payload any) error {
-	var enc encoder
-	switch p := payload.(type) {
-	case Snapshot:
-		enc.snapshotEvent(event, &p)
-	case Delta:
-		enc.deltaEvent(event, &p)
-	default:
-		return fmt.Errorf("streamrisk: %s event payload is a %T, not a Snapshot or a Delta", event, payload)
-	}
-	return enc.writeEvent(w, event)
-}
-
 // snapshotEvent replaces e's buffer with one SSE frame carrying s.
 func (e *encoder) snapshotEvent(event string, s *Snapshot) {
 	e.eventHead(event)
@@ -83,8 +68,8 @@ type Event struct {
 	Data  []byte
 }
 
-// EventReader incrementally parses an SSE byte stream (the subset
-// WriteEvent produces, plus ":" comment lines).
+// EventReader incrementally parses an SSE byte stream (the frames the
+// handlers write, plus ":" comment lines).
 type EventReader struct {
 	sc *bufio.Scanner
 }

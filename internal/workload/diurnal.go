@@ -26,6 +26,8 @@ type DiurnalConfig struct {
 
 // DefaultDiurnalConfig returns the SDSC-calibrated shape with a 5:1 daily
 // cycle peaking mid-afternoon.
+//
+//lint:allow deadcode — ablation workload; BenchmarkDiurnalRobustness and BenchmarkAblationVariablePricing in bench_test.go generate it
 func DefaultDiurnalConfig() DiurnalConfig {
 	return DiurnalConfig{
 		Base:         DefaultSynthConfig(),
@@ -64,6 +66,8 @@ func (c *DiurnalConfig) rateFactor(t float64) float64 {
 // GenerateDiurnal produces a deterministic synthetic trace whose arrivals
 // follow the daily cycle (thinning a homogeneous Poisson process at the
 // peak rate), with the same runtime/width/estimate model as Generate.
+//
+//lint:allow deadcode — ablation workload; BenchmarkDiurnalRobustness and BenchmarkAblationVariablePricing in bench_test.go generate it
 func GenerateDiurnal(cfg DiurnalConfig, seed int64) ([]*Job, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -92,17 +96,4 @@ func GenerateDiurnal(cfg DiurnalConfig, seed int64) ([]*Job, error) {
 		})
 	}
 	return jobs, nil
-}
-
-// HourlyArrivalHistogram bins a trace's submissions by hour of virtual day
-// — handy for verifying (and plotting) the cycle.
-func HourlyArrivalHistogram(jobs []*Job) [24]int {
-	var h [24]int
-	for _, j := range jobs {
-		hour := int(math.Mod(j.Submit, secondsPerDay) / 3600)
-		if hour >= 0 && hour < 24 {
-			h[hour]++
-		}
-	}
-	return h
 }

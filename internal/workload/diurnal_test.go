@@ -56,9 +56,7 @@ func TestDiurnalGenerate(t *testing.T) {
 	if len(jobs) != 4000 {
 		t.Fatalf("generated %d jobs", len(jobs))
 	}
-	if err := ValidateAll(jobs); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, jobs)
 	ts := Stats(jobs, 128)
 	// Mean inter-arrival preserved within tolerance despite the cycle.
 	if math.Abs(ts.MeanInterArrival-cfg.Base.MeanInterArrival)/cfg.Base.MeanInterArrival > 0.10 {
@@ -103,4 +101,17 @@ func TestDiurnalDeterminism(t *testing.T) {
 			t.Fatalf("same seed diverged at job %d", i)
 		}
 	}
+}
+
+// HourlyArrivalHistogram bins a trace's submissions by hour of virtual day
+// — handy for verifying (and plotting) the cycle.
+func HourlyArrivalHistogram(jobs []*Job) [24]int {
+	var h [24]int
+	for _, j := range jobs {
+		hour := int(math.Mod(j.Submit, secondsPerDay) / 3600)
+		if hour >= 0 && hour < 24 {
+			h[hour]++
+		}
+	}
+	return h
 }

@@ -97,18 +97,3 @@ func ScaleArrivals(jobs []*Job, factor float64) {
 		j.Submit = prevNew
 	}
 }
-
-// ValidateAll checks every job and that submissions are non-decreasing.
-func ValidateAll(jobs []*Job) error {
-	prev := -1.0
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return err
-		}
-		if j.Submit < prev {
-			return fmt.Errorf("workload: job %d submitted at %v before previous job at %v", j.ID, j.Submit, prev)
-		}
-		prev = j.Submit
-	}
-	return nil
-}

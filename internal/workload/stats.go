@@ -54,32 +54,3 @@ func Stats(jobs []*Job, nodes int) TraceStats {
 	}
 	return ts
 }
-
-// Filter returns the jobs satisfying pred, preserving order. The returned
-// slice shares job pointers with the input (jobs are immutable inputs).
-func Filter(jobs []*Job, pred func(*Job) bool) []*Job {
-	var out []*Job
-	for _, j := range jobs {
-		if pred(j) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Window returns the jobs submitted in [from, to), rebased so the first
-// kept job submits at 0 and renumbered from 1 — the standard
-// trace-slicing operation of workload archives.
-func Window(jobs []*Job, from, to float64) []*Job {
-	kept := Filter(jobs, func(j *Job) bool { return j.Submit >= from && j.Submit < to })
-	out := CloneAll(kept)
-	if len(out) == 0 {
-		return out
-	}
-	base := out[0].Submit
-	for i, j := range out {
-		j.Submit -= base
-		j.ID = i + 1
-	}
-	return out
-}

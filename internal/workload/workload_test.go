@@ -132,13 +132,17 @@ func TestScaleArrivalsProperty(t *testing.T) {
 	}
 }
 
-func TestValidateAllOrdering(t *testing.T) {
-	jobs := []*Job{
-		{ID: 1, Submit: 10, Runtime: 1, Estimate: 1, Procs: 1},
-		{ID: 2, Submit: 5, Runtime: 1, Estimate: 1, Procs: 1},
-	}
-	if err := ValidateAll(jobs); err == nil {
-		t.Error("out-of-order submissions accepted")
+// checkTrace fails the test unless every job is valid and submissions are
+// non-decreasing.
+func checkTrace(t *testing.T, jobs []*Job) {
+	t.Helper()
+	for i, j := range jobs {
+		if err := j.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && j.Submit < jobs[i-1].Submit {
+			t.Fatalf("job %d submitted at %v before the previous job at %v", j.ID, j.Submit, jobs[i-1].Submit)
+		}
 	}
 }
 
@@ -240,9 +244,7 @@ func TestGenerateCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateAll(jobs); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, jobs)
 	ts := Stats(jobs, 128)
 	if math.Abs(ts.MeanInterArrival-1969)/1969 > 0.10 {
 		t.Errorf("mean inter-arrival = %v, want ~1969", ts.MeanInterArrival)
@@ -342,45 +344,5 @@ func TestReadSWFRejectsNonFinite(t *testing.T) {
 		if _, err := ReadSWF(strings.NewReader(line)); err == nil {
 			t.Errorf("runtime %q accepted", bad)
 		}
-	}
-}
-
-func TestFilter(t *testing.T) {
-	jobs := []*Job{
-		{ID: 1, Submit: 0, Runtime: 10, Estimate: 10, Procs: 1},
-		{ID: 2, Submit: 10, Runtime: 10, Estimate: 10, Procs: 8},
-		{ID: 3, Submit: 20, Runtime: 10, Estimate: 10, Procs: 2},
-	}
-	wide := Filter(jobs, func(j *Job) bool { return j.Procs > 1 })
-	if len(wide) != 2 || wide[0].ID != 2 || wide[1].ID != 3 {
-		t.Errorf("Filter returned %v", wide)
-	}
-	if got := Filter(jobs, func(*Job) bool { return false }); len(got) != 0 {
-		t.Errorf("empty filter returned %d jobs", len(got))
-	}
-}
-
-func TestWindow(t *testing.T) {
-	jobs := []*Job{
-		{ID: 1, Submit: 0, Runtime: 10, Estimate: 10, Procs: 1},
-		{ID: 2, Submit: 100, Runtime: 10, Estimate: 10, Procs: 1},
-		{ID: 3, Submit: 200, Runtime: 10, Estimate: 10, Procs: 1},
-		{ID: 4, Submit: 300, Runtime: 10, Estimate: 10, Procs: 1},
-	}
-	w := Window(jobs, 100, 300)
-	if len(w) != 2 {
-		t.Fatalf("Window kept %d jobs, want 2", len(w))
-	}
-	if w[0].Submit != 0 || w[1].Submit != 100 {
-		t.Errorf("rebase wrong: %v, %v", w[0].Submit, w[1].Submit)
-	}
-	if w[0].ID != 1 || w[1].ID != 2 {
-		t.Errorf("renumber wrong: %d, %d", w[0].ID, w[1].ID)
-	}
-	if jobs[1].Submit != 100 {
-		t.Error("Window mutated the source")
-	}
-	if got := Window(jobs, 500, 600); len(got) != 0 {
-		t.Errorf("empty window returned %d jobs", len(got))
 	}
 }
