@@ -104,7 +104,7 @@ OUT ?= BENCH_local.json
 bench-capture:
 	$(GO) run ./cmd/benchjson -config short -suite -out $(OUT)
 
-OLD ?= BENCH_PR16.json
+OLD ?= BENCH_PR21.json
 NEW ?= BENCH_local.json
 bench-diff:
 	$(GO) run ./cmd/benchjson -diff $(OLD) $(NEW)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/economy"
 	"repro/internal/experiment"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -46,6 +47,7 @@ func probes(config string) []probe {
 		{"suite/commodity-small/jobs=150", probeSuiteSmall},
 		{"suite/replicated-cells/reps=4", probeSuiteReplicated},
 		{"suite/federated/clusters=4", probeSuiteFederated},
+		{"suite/federated-faults/clusters=4", probeSuiteFederatedFaults},
 	}
 	if config == "paper" {
 		ps = append(ps, probe{"suite/paper-scale/jobs=5000", probePaperScale})
@@ -525,6 +527,34 @@ func probeSuiteFederated(b *testing.B) {
 	cfg.Jobs = 150
 	cfg.ScenarioFilter = []string{"workload"}
 	cfg.Federation = fed
+	jobs := 0
+	for i := 0; i < b.N; i++ {
+		res, err := experiment.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		jobs += res.Cells() * cfg.Jobs
+	}
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(float64(jobs)/s, "jobs/s")
+	}
+}
+
+// probeSuiteFederatedFaults is suite/federated's fault path: the bid-based
+// Set B sweep through hetero4 under high-intensity failures on every
+// cluster — per-cluster schedule generation, shared across each scenario
+// value's policies, and the kill/requeue paths. Its allocs/op carries the
+// cost of every fault event a session queues.
+func probeSuiteFederatedFaults(b *testing.B) {
+	fed, err := registry.ParseFederation("hetero4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := experiment.DefaultSuiteConfig(economy.BidBased, true)
+	cfg.Jobs = 150
+	cfg.ScenarioFilter = []string{"workload"}
+	cfg.Federation = fed
+	cfg.FaultIntensity = faults.High
 	jobs := 0
 	for i := 0; i < b.N; i++ {
 		res, err := experiment.Run(cfg)

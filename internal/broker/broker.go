@@ -26,6 +26,10 @@ type RunConfig struct {
 	// config's seed — the experiment suite uses the cluster-stride
 	// sub-seed convention (see experiment.ClusterFaultSeedStride).
 	Faults []*faults.Config
+	// FaultMemo optionally shares generated schedules with the other runs
+	// that draw the same fault processes; every cluster session uses it
+	// (see scheduler.RunConfig.FaultMemo). Nil generates them afresh.
+	FaultMemo *faults.Memo
 }
 
 // Candidate is one statically feasible cluster's bid for a job: its index,
@@ -109,6 +113,7 @@ func New(fed Federation, factory scheduler.Factory, cfg RunConfig) (*Broker, err
 			Nodes:     cs.Nodes,
 			Model:     cfg.Model,
 			BasePrice: base * cs.priceFactor(),
+			FaultMemo: cfg.FaultMemo,
 		}
 		// A neutral speed keeps NodeRatings nil so the cluster takes the
 		// homogeneous fast path — and a degenerate 1-cluster federation

@@ -130,10 +130,15 @@ func TestSpaceSharedFaultInvariantsAcrossSeeds(t *testing.T) {
 	}
 }
 
-// checkTimeInvariants validates booking bounds and down-node emptiness.
+// checkTimeInvariants validates booking bounds and down-node emptiness,
+// and recounts the operational nodes against the maintained count.
 func checkTimeInvariants(t *testing.T, c *TimeShared) {
 	t.Helper()
+	up := 0
 	for i := 0; i < c.Nodes(); i++ {
+		if !c.NodeDown(i) {
+			up++
+		}
 		if c.nodes[i].booked > 1+workEps {
 			t.Fatalf("node %d oversubscribed: booked %v", i, c.nodes[i].booked)
 		}
@@ -148,6 +153,9 @@ func checkTimeInvariants(t *testing.T, c *TimeShared) {
 				t.Fatalf("down node %d advertises free share %v", i, c.FreeShare(i))
 			}
 		}
+	}
+	if up != c.UpNodes() {
+		t.Fatalf("up count %d, recomputed %d", c.UpNodes(), up)
 	}
 	if len(c.order) != len(c.running) {
 		t.Fatalf("order list %d entries, running map %d", len(c.order), len(c.running))

@@ -137,6 +137,8 @@ type TimeShared struct {
 	fit []int
 	// unfitNodes lists the nodes currently marked unfit.
 	unfitNodes []int
+	// downCount is the number of failed nodes, kept by Fail and Repair.
+	downCount int
 	// seq numbers Starts; stamp hands out fresh visit stamps.
 	seq, stamp uint64
 	// finished is onCompletion's reusable retire list.
@@ -210,15 +212,7 @@ func (t *TimeShared) FreeShare(i int) float64 {
 }
 
 // UpNodes returns the number of nodes currently operational.
-func (t *TimeShared) UpNodes() int {
-	up := 0
-	for i := range t.nodes {
-		if !t.nodes[i].down {
-			up++
-		}
-	}
-	return up
-}
+func (t *TimeShared) UpNodes() int { return len(t.nodes) - t.downCount }
 
 // NodeHasOverrun reports whether any job on node i has exceeded its
 // estimate (and is therefore holding capacity for an unknown further
@@ -466,6 +460,7 @@ func (t *TimeShared) Fail(i int) []*workload.Job {
 		t.recompute()
 	}
 	t.nodes[i].down = true
+	t.downCount++
 	return victims
 }
 
@@ -479,6 +474,7 @@ func (t *TimeShared) Repair(i int) {
 		panic(fmt.Sprintf("cluster: node %d repaired while up", i))
 	}
 	t.nodes[i].down = false
+	t.downCount--
 }
 
 // Lookup returns the running-state record for j, or nil.

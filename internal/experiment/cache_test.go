@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/economy"
+	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
 
@@ -165,6 +168,59 @@ func TestTraceCacheConcurrentSameSeed(t *testing.T) {
 	for w := 1; w < workers; w++ {
 		if len(got[w]) == 0 || &got[w][0] != &got[0][0] {
 			t.Fatalf("worker %d received a different trace instance for the shared seed", w)
+		}
+	}
+}
+
+// The cells of one scenario value share a fault-schedule memo per
+// replication, and execute drops each memo once the value's last cell at
+// that replication has landed. Sharing leaves every report equal to its
+// cell run on its own, a group of one.
+func TestFaultMemoSharedAndDroppedPerGroup(t *testing.T) {
+	cfg := faultySuite(t)
+	cfg.Replications = 2
+	cfg.Workers = 2
+	b, err := newBatch(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, ok := ScenarioByName("workload")
+	if !ok {
+		t.Fatal("no workload scenario")
+	}
+	var pending []*pendingCell
+	var groups []*cellGroup
+	for vi, v := range sc.Values[:2] {
+		g := newCellGroup(cfg.replications())
+		groups = append(groups, g)
+		for _, name := range cfg.PolicyFilter {
+			spec, err := scheduler.SpecByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := DefaultParams(cfg.inaccuracyDefault())
+			sc.Apply(&p, v)
+			pending = append(pending, newPendingCell(0, vi, obs.Cell{}, p, spec, g))
+		}
+	}
+	got := make(map[*pendingCell]metrics.Report)
+	b.execute(pending, obs.Nop{}, func(pc *pendingCell, r metrics.Report, _ *obs.FederationRecord) {
+		got[pc] = r
+	})
+	for gi, g := range groups {
+		for r, m := range g.memos {
+			if m != nil {
+				t.Errorf("group %d kept its replication-%d memo after its last cell landed", gi, r)
+			}
+		}
+	}
+	for _, pc := range pending {
+		want, err := RunCell(cfg, pc.params, pc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := got[pc]; !ok || r != want {
+			t.Errorf("%s at value %d: shared-memo report %+v, alone %+v", pc.spec.Name, pc.vi, r, want)
 		}
 	}
 }

@@ -430,6 +430,7 @@ func Run(cfg SuiteConfig) (*Results, error) {
 	total := 0
 	for si, sc := range scenarios {
 		for vi, value := range sc.Values {
+			var group *cellGroup
 			for _, spec := range specs {
 				total++
 				cell := obs.Cell{
@@ -455,7 +456,10 @@ func Run(cfg SuiteConfig) (*Results, error) {
 					return nil, fmt.Errorf("experiment: %s/%s[%d]/%s: %w",
 						cfg.SetName(), sc.Name, vi, spec.Name, err)
 				}
-				pending = append(pending, newPendingCell(si, vi, cell, p, spec, reps))
+				if group == nil {
+					group = newCellGroup(reps)
+				}
+				pending = append(pending, newPendingCell(si, vi, cell, p, spec, group))
 			}
 		}
 	}
@@ -525,15 +529,51 @@ func newBatch(cfg SuiteConfig) (*batch, error) {
 	return b, nil
 }
 
+// cellGroup is the pending cells of one scenario value: they differ only
+// in policy, so at each replication they simulate identical prepared jobs
+// and draw identical failure processes. They share one fault-schedule
+// memo per replication, which execute drops once the group's last cell at
+// that replication has landed, so the schedules kept alive are bounded by
+// the groups in flight, not by the grid.
+type cellGroup struct {
+	// memos holds each replication's memo; nil once dropped.
+	memos []*faults.Memo
+	// cells counts the group's pending cells; landed counts, per
+	// replication, those whose replication has completed.
+	cells  int
+	landed []int
+}
+
+// newCellGroup returns an empty group with a fresh memo per replication.
+func newCellGroup(reps int) *cellGroup {
+	g := &cellGroup{memos: make([]*faults.Memo, reps), landed: make([]int, reps)}
+	for r := range g.memos {
+		g.memos[r] = new(faults.Memo)
+	}
+	return g
+}
+
+// land records that one cell of the group completed replication r and
+// drops that replication's memo after the last one. Only execute's
+// collecting goroutine calls it; every worker that read the memo sent its
+// outcome, which the collector received, before the drop.
+func (g *cellGroup) land(r int) {
+	g.landed[r]++
+	if g.landed[r] == g.cells {
+		g.memos[r] = nil
+	}
+}
+
 // pendingCell is one cell awaiting execution: its grid coordinates and
-// journal identity, its validated parameters and policy, and the reduce
-// state — a report slot per replication, filled in any order by the
-// workers and merged in replication order once the last slot lands.
+// journal identity, its validated parameters and policy, its group, and
+// the reduce state — a report slot per replication, filled in any order by
+// the workers and merged in replication order once the last slot lands.
 type pendingCell struct {
 	si, vi    int
 	cell      obs.Cell
 	params    Params
 	spec      scheduler.Spec
+	group     *cellGroup
 	started   atomic.Bool
 	reports   []metrics.Report
 	feds      []*obs.FederationRecord
@@ -543,9 +583,13 @@ type pendingCell struct {
 	errRep    int
 }
 
-func newPendingCell(si, vi int, cell obs.Cell, p Params, spec scheduler.Spec, reps int) *pendingCell {
+// newPendingCell returns a cell awaiting execution as a member of group g,
+// with one report slot per replication of the group.
+func newPendingCell(si, vi int, cell obs.Cell, p Params, spec scheduler.Spec, g *cellGroup) *pendingCell {
+	g.cells++
+	reps := len(g.memos)
 	return &pendingCell{
-		si: si, vi: vi, cell: cell, params: p, spec: spec,
+		si: si, vi: vi, cell: cell, params: p, spec: spec, group: g,
 		reports:   make([]metrics.Report, reps),
 		feds:      make([]*obs.FederationRecord, reps),
 		remaining: reps, errRep: reps,
@@ -592,7 +636,7 @@ func (b *batch) execute(pending []*pendingCell, observer obs.Reporter, done func
 					observer.CellStart(pc.cell)
 				}
 				start := time.Now() //lint:allow wallclock — per-replication wall-time accounting for the journal, not simulation time
-				rep, fed, err := b.runReplication(pc.params, pc.spec, u.r)
+				rep, fed, err := b.runReplication(pc.params, pc.spec, u.r, pc.group.memos[u.r])
 				wall := time.Since(start) //lint:allow wallclock — per-replication wall-time accounting for the journal, not simulation time
 				outCh <- outcome{unit: u, report: rep, fed: fed, wall: wall, err: err}
 			}
@@ -610,6 +654,7 @@ func (b *batch) execute(pending []*pendingCell, observer obs.Reporter, done func
 	for i := 0; i < units; i++ {
 		o := <-outCh
 		pc := pending[o.ci]
+		pc.group.land(o.r)
 		pc.remaining--
 		pc.wall += o.wall
 		if o.err != nil {
@@ -686,10 +731,11 @@ func (c *traceCache) get(seed int64) ([]*workload.Job, error) {
 // the replication's seed through the shared cache (or reuse a fixed
 // external trace, which cannot be re-drawn — only the QoS and fault seeds
 // vary across its replications), clone it, scale arrivals, synthesize QoS,
-// and simulate under the policy through the federation meta-broker. The
+// and simulate under the policy through the federation meta-broker, its
+// failure schedules shared through memo with the cell's group. The
 // federation record is nil unless the federation differs from the single
 // machine. This is the worker pool's unit of work.
-func (b *batch) runReplication(p Params, spec scheduler.Spec, r int) (metrics.Report, *obs.FederationRecord, error) {
+func (b *batch) runReplication(p Params, spec scheduler.Spec, r int, memo *faults.Memo) (metrics.Report, *obs.FederationRecord, error) {
 	trace := b.cfg.Trace
 	if trace == nil {
 		var err error
@@ -704,8 +750,9 @@ func (b *batch) runReplication(p Params, spec scheduler.Spec, r int) (metrics.Re
 		return metrics.Report{}, nil, err
 	}
 	res, err := broker.Run(jobs, b.fed, spec.New, broker.RunConfig{
-		Model:  b.cfg.Model,
-		Faults: b.faultConfigs(jobs, r),
+		Model:     b.cfg.Model,
+		Faults:    b.faultConfigs(jobs, r),
+		FaultMemo: memo,
 	})
 	if err != nil {
 		return metrics.Report{}, nil, err
@@ -835,7 +882,7 @@ func RunCellFederated(cfg SuiteConfig, params Params, spec scheduler.Spec) (metr
 	if err != nil {
 		return metrics.Report{}, nil, err
 	}
-	pc := newPendingCell(0, 0, obs.Cell{}, params, spec, cfg.replications())
+	pc := newPendingCell(0, 0, obs.Cell{}, params, spec, newCellGroup(cfg.replications()))
 	var rep metrics.Report
 	var fed *obs.FederationRecord
 	b.execute([]*pendingCell{pc}, obs.Nop{}, func(_ *pendingCell, r metrics.Report, f *obs.FederationRecord) {

@@ -8,9 +8,18 @@
 // a SplitMix64 finalizer), so the schedule for node i never depends on how
 // many events another node produced — adding a node or lengthening the
 // horizon perturbs nothing else. The generated schedule is a plain sorted
-// slice of events; the simulation driver turns each into a sim.Engine event
-// so failures interleave deterministically with job submissions and
-// completions, preserving the repository's bit-for-bit reproducibility.
+// slice of events; the simulation driver feeds it to its sim.Engine one
+// event at a time, so failures interleave deterministically with job
+// submissions and completions, preserving the repository's bit-for-bit
+// reproducibility.
+//
+// Generate is pure: equal configurations and node counts give
+// byte-identical schedules. Runs that draw the same process may therefore
+// share one generated schedule, read-only, through a Memo. The experiment
+// suite keeps one per group of cells that simulate identical prepared jobs
+// — one scenario value's policies at one replication — and drops it once
+// the group has run; every other caller passes no memo and generates
+// afresh.
 //
 // # The intensity axis
 //

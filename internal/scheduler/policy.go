@@ -196,6 +196,10 @@ type RunConfig struct {
 	// (see internal/faults). Nil or disabled means the paper's original
 	// never-failing machine. The policy must implement FaultInjectable.
 	Faults *faults.Config
+	// FaultMemo optionally shares the generated schedule with the other
+	// runs that draw the same fault process (see faults.Memo). Nil
+	// generates it afresh.
+	FaultMemo *faults.Memo
 }
 
 // DefaultRunConfig returns the paper's machine and pricing defaults for the

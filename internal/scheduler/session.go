@@ -83,10 +83,11 @@ type Session struct {
 	lastSubmit float64
 }
 
-// NewSession validates the configuration, builds the policy, and schedules
-// the configured fault process (in the sim.ClassInjected band, so failures
-// at an arrival's exact instant order after the arrival, as in a batch
-// run). The session starts at virtual time zero with no jobs.
+// NewSession validates the configuration, builds the policy, and starts
+// the configured fault process's feed (see faultFeed): failures and
+// repairs fire in the sim.ClassInjected band, so a failure at an arrival's
+// exact instant orders after the arrival, as in a batch run. The session
+// starts at virtual time zero with no jobs.
 func NewSession(factory Factory, cfg RunConfig) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -114,26 +115,69 @@ func NewSession(factory Factory, cfg RunConfig) (*Session, error) {
 		if !ok {
 			return nil, fmt.Errorf("scheduler: policy %s cannot absorb fault injection", s.policy.Name())
 		}
-		events, err := faults.Generate(*cfg.Faults, cfg.Nodes)
+		events, err := cfg.FaultMemo.Generate(*cfg.Faults, cfg.Nodes)
 		if err != nil {
 			return nil, err
 		}
-		for _, ev := range events {
-			ev := ev
-			label := "repair node"
-			if ev.Down {
-				label = "fail node"
-			}
-			engine.MustScheduleClass(sim.Time(ev.Time), sim.ClassInjected, label, func() {
-				if ev.Down {
-					fi.NodeDown(ev.Node)
-				} else {
-					fi.NodeUp(ev.Node)
-				}
-			})
-		}
+		feedFaults(engine, events, fi)
 	}
 	return s, nil
+}
+
+// faultFeed injects a failure schedule, sorted by (time, node), one event
+// at a time: exactly one sim.ClassInjected event is queued, the earliest
+// unfired fault, and its handler queues its successor before applying it
+// to the policy. A 128-node machine under high faults draws ~900 events;
+// the feed keeps one of them in the engine's heap, with one handler.
+//
+// It dispatches exactly as queuing the whole schedule up front would.
+// Events fire in (time, class, seq) order and only faults use
+// ClassInjected, so a fault orders against every other event by time and
+// class alone, never by seq. Among faults, a successor is queued when its
+// predecessor fires, so faults at one instant still fire in schedule
+// order. And since the queued fault is always the earliest unfired one,
+// every fault not yet queued orders after one that is: none can be
+// overtaken, whether the engine runs through an arrival, until a horizon,
+// or to the end.
+type faultFeed struct {
+	engine *sim.Engine
+	// events is the schedule, shared read-only (see faults.Memo).
+	events []faults.Event
+	next   int
+	fi     FaultInjectable
+	// fire is inject as a handler, bound once rather than per event.
+	fire sim.Handler
+}
+
+// feedFaults starts the feed of a sorted schedule; an empty one queues
+// nothing.
+func feedFaults(engine *sim.Engine, events []faults.Event, fi FaultInjectable) {
+	if len(events) == 0 {
+		return
+	}
+	f := &faultFeed{engine: engine, events: events, fi: fi}
+	f.fire = f.inject
+	f.queueNext()
+}
+
+// queueNext queues the earliest unfired fault.
+func (f *faultFeed) queueNext() {
+	f.engine.MustScheduleClass(sim.Time(f.events[f.next].Time), sim.ClassInjected, "inject fault", f.fire)
+}
+
+// inject fires the queued fault: it queues the successor, then fails or
+// repairs the node.
+func (f *faultFeed) inject() {
+	ev := f.events[f.next]
+	f.next++
+	if f.next < len(f.events) {
+		f.queueNext()
+	}
+	if ev.Down {
+		f.fi.NodeDown(ev.Node)
+	} else {
+		f.fi.NodeUp(ev.Node)
+	}
 }
 
 // PolicyName returns the live policy's display name.

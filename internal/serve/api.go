@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 
 	"repro/internal/metrics"
@@ -58,6 +59,41 @@ type SubmitJobRequest struct {
 	Budget      float64 `json:"budget"`
 	PenaltyRate float64 `json:"penalty_rate,omitempty"`
 	HighUrgency bool    `json:"high_urgency,omitempty"`
+}
+
+// maxClientValue bounds the magnitude of every money and time field a
+// client submits, live or in an imported journal. Summed over as many
+// decisions as a journal can hold, bounded values stay far inside
+// float64's range, so no risk sum, report or stream delta can overflow to
+// a value JSON cannot encode.
+const maxClientValue = 1e15
+
+// boundedField is one client-supplied money or time value under its JSON
+// name.
+type boundedField struct {
+	name string
+	v    float64
+}
+
+// outOfRange refuses the first field that is not finite or exceeds
+// maxClientValue in magnitude, naming it.
+func outOfRange(fields ...boundedField) error {
+	for _, f := range fields {
+		if !(math.Abs(f.v) <= maxClientValue) {
+			return fmt.Errorf("serve: %s %v outside ±%g", f.name, f.v, maxClientValue)
+		}
+	}
+	return nil
+}
+
+// checkBounds refuses a submit whose money or time field is out of range.
+func (r SubmitJobRequest) checkBounds() error {
+	return outOfRange(
+		boundedField{"submit", r.Submit}, boundedField{"advance", r.Advance},
+		boundedField{"runtime", r.Runtime}, boundedField{"estimate", r.Estimate},
+		boundedField{"deadline", r.Deadline}, boundedField{"budget", r.Budget},
+		boundedField{"penalty_rate", r.PenaltyRate},
+	)
 }
 
 // SubmitJobResponse is the service's synchronous answer: the admission

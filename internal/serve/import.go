@@ -11,13 +11,14 @@ import (
 // ImportSession rebuilds a live session from its journal bytes by
 // deterministic replay: a fresh driver is built from the header's
 // parameterization (policy, model, machine, fault process), every
-// journaled decision's job is re-submitted in order, and — when the
-// journal carries a final line — the session is re-finalized. The replayed
-// journal must reproduce the source byte for byte; any divergence aborts
-// the import with the first differing line, because a session whose
-// replayed decisions differ from what clients were already told is not the
-// same session. On success the session is registered under the header's ID
-// and resumes exactly where the exporting worker stopped.
+// journaled decision's job is bounds-checked as a live submit is and
+// re-submitted in order, and — when the journal carries a final line —
+// the session is re-finalized. The replayed journal must reproduce the
+// source byte for byte; any divergence aborts the import with the first
+// differing line, because a session whose replayed decisions differ from
+// what clients were already told is not the same session. On success the
+// session is registered under the header's ID and resumes exactly where
+// the exporting worker stopped.
 //
 // This is the service plane's migration mechanism: rebalancing, draining,
 // and crash recovery all move sessions as journal bytes and rely on this
@@ -39,6 +40,12 @@ func (s *Server) ImportSession(journal []byte) (string, error) {
 	replayed := obs.NewSessionJournal(header)
 	nextJob := 1
 	for _, d := range rec.Decisions {
+		if err := (SubmitJobRequest{
+			Submit: d.Submit, Runtime: d.Runtime, Estimate: d.Estimate,
+			Deadline: d.Deadline, Budget: d.Budget, PenaltyRate: d.PenaltyRate,
+		}).checkBounds(); err != nil {
+			return "", fmt.Errorf("serve: replaying session %s job %d: %w", rec.Header.ID, d.Job, err)
+		}
 		j := &workload.Job{
 			ID: d.Job, Submit: d.Submit, Runtime: d.Runtime, Estimate: d.Estimate,
 			Procs: d.Procs, Deadline: d.Deadline, Budget: d.Budget,

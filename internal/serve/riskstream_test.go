@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/scheduler"
 	"repro/internal/streamrisk"
 	"repro/internal/workload"
 )
@@ -304,22 +305,39 @@ func TestRiskStreamSubscriberLimit(t *testing.T) {
 	}
 }
 
-// Finite client values can overflow the engine's float64 sums: two
-// accepted bid-based submits at budget 1e308 take budget_sum (and, with
-// it, the quote sum) to +Inf, which JSON cannot represent. GET /v1/risk
-// must then answer 500 with the encoder's error — not a 200 whose body is
-// empty because the encoder failed after the status went out.
+// submitUnbounded applies a submit the way handleSubmit does but past its
+// bounds check: the decision reaches the session's driver and its journal,
+// whose observer feeds the streaming risk engine.
+func submitUnbounded(t *testing.T, srv *Server, id string, j *workload.Job) {
+	t.Helper()
+	sess, ok := srv.store.get(id)
+	if !ok {
+		t.Fatalf("no session %s", id)
+	}
+	defer srv.store.release(sess)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	d, err := sess.driver.Submit(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Admission == scheduler.AdmissionRejected {
+		t.Fatalf("job %d rejected; the overflow needs accepted jobs", j.ID)
+	}
+	sess.journal.Decision(decisionLine(j, d))
+}
+
+// The second line of defence behind the submit bounds: a sum that does
+// overflow (two accepted bids of 1e308, applied past the HTTP boundary)
+// makes GET /v1/risk, the report and finalize answer 500 with the
+// encoder's error rather than an empty 200.
 func TestRiskSnapshotOverflowAnswers500(t *testing.T) {
-	h := New(Config{}).Handler()
+	srv := New(Config{})
+	h := srv.Handler()
 	var cr CreateSessionResponse
 	mustDo(t, h, http.MethodPost, "/v1/sessions", CreateSessionRequest{Policy: "Libra", Model: "bid"}, http.StatusCreated, &cr)
-	for i := 0; i < 2; i++ {
-		var sr SubmitJobResponse
-		mustDo(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs",
-			SubmitJobRequest{Runtime: 100, Deadline: 1000, Budget: 1e308}, http.StatusOK, &sr)
-		if sr.Admission == "rejected" {
-			t.Fatalf("submit %d rejected; the overflow needs accepted jobs", i+1)
-		}
+	for i := 1; i <= 2; i++ {
+		submitUnbounded(t, srv, cr.ID, &workload.Job{ID: i, Runtime: 100, Estimate: 100, Procs: 1, Deadline: 1000, Budget: 1e308})
 	}
 	w := do(t, h, http.MethodGet, "/v1/risk", nil)
 	if w.Code != http.StatusInternalServerError {
@@ -339,4 +357,129 @@ func TestRiskSnapshotOverflowAnswers500(t *testing.T) {
 			t.Errorf("%s %s after an overflowing sum: status %d, body %q; want 500 with the encoder's error", probe.method, probe.path, w.Code, w.Body)
 		}
 	}
+}
+
+// Client values are bounded at the boundary: a submit whose money or time
+// field exceeds maxClientValue answers 400 naming the field and changes
+// nothing, so a /v1/risk/stream subscriber opened before it still receives
+// the next accepted decision's delta. A create with an out-of-range base
+// price or fault horizon, and an imported journal carrying an
+// out-of-range decision, are refused the same way.
+func TestSubmitBoundsKeepStreamAlive(t *testing.T) {
+	srv := New(Config{RiskWindow: 8})
+	h := srv.Handler()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	var cr CreateSessionResponse
+	mustDo(t, h, http.MethodPost, "/v1/sessions", CreateSessionRequest{Policy: "Libra", Model: "bid"}, http.StatusCreated, &cr)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/risk/stream?session="+cr.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	r := streamrisk.NewEventReader(resp.Body)
+	if ev, err := r.Next(); err != nil || ev.Event != streamrisk.EventSnapshot {
+		t.Fatalf("first frame: %+v, %v", ev, err)
+	}
+
+	ok := SubmitJobRequest{Runtime: 100, Deadline: 1000, Budget: 500}
+	for _, tc := range []struct {
+		field string
+		set   func(*SubmitJobRequest)
+	}{
+		{"budget", func(q *SubmitJobRequest) { q.Budget = 1e308 }},
+		{"submit", func(q *SubmitJobRequest) { q.Submit = 2e15 }},
+		{"advance", func(q *SubmitJobRequest) { q.Advance = 2e15 }},
+		{"runtime", func(q *SubmitJobRequest) { q.Runtime = 1e300 }},
+		{"estimate", func(q *SubmitJobRequest) { q.Estimate = 1e16 }},
+		{"deadline", func(q *SubmitJobRequest) { q.Deadline = 1e308 }},
+		{"penalty_rate", func(q *SubmitJobRequest) { q.PenaltyRate = -1e308 }},
+	} {
+		bad := ok
+		tc.set(&bad)
+		w := do(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs", bad)
+		if w.Code != http.StatusBadRequest || !bytes.Contains(w.Body.Bytes(), []byte(tc.field)) {
+			t.Errorf("submit with an out-of-range %s: status %d, body %q; want 400 naming the field", tc.field, w.Code, w.Body)
+		}
+	}
+	var sr SubmitJobResponse
+	mustDo(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs", ok, http.StatusOK, &sr)
+	if sr.Admission == "rejected" {
+		t.Fatal("the in-range submit was rejected")
+	}
+	ev, err := r.Next()
+	if err != nil || ev.Event != streamrisk.EventDelta {
+		t.Fatalf("frame after the refused submits: %+v, %v; want the accepted decision's delta", ev, err)
+	}
+	var d streamrisk.Delta
+	if err := json.Unmarshal(ev.Data, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Session != cr.ID || d.SessionScores.Events != 1 {
+		t.Fatalf("delta after the refused submits: %+v, want the session's first decision", d)
+	}
+
+	// The session's money and time parameters are bounded at create too.
+	for _, bad := range []CreateSessionRequest{
+		{Policy: "Libra", Model: "bid", BasePrice: 1e308},
+		{Policy: "Libra", Model: "bid", FaultIntensity: "high", FaultHorizon: 1e300},
+	} {
+		w := do(t, h, http.MethodPost, "/v1/sessions", bad)
+		field := "base_price"
+		if bad.FaultHorizon != 0 {
+			field = "fault_horizon"
+		}
+		if w.Code != http.StatusBadRequest || !bytes.Contains(w.Body.Bytes(), []byte(field)) {
+			t.Errorf("create with an out-of-range %s: status %d, body %q; want 400 naming the field", field, w.Code, w.Body)
+		}
+	}
+
+	// A journal whose decision holds an unbounded budget (written past the
+	// boundary) cannot come back in through import.
+	var cr2 CreateSessionResponse
+	mustDo(t, h, http.MethodPost, "/v1/sessions", CreateSessionRequest{Policy: "Libra", Model: "bid"}, http.StatusCreated, &cr2)
+	submitUnbounded(t, srv, cr2.ID, &workload.Job{ID: 1, Runtime: 100, Estimate: 100, Procs: 1, Deadline: 1000, Budget: 1e308})
+	journal := mustDo(t, h, http.MethodGet, "/v1/sessions/"+cr2.ID+"/journal", nil, http.StatusOK, nil).Body.Bytes()
+	w := doRaw(t, New(Config{}).Handler(), http.MethodPost, "/worker/v1/sessions/import", journal)
+	if w.Code != http.StatusBadRequest || !bytes.Contains(w.Body.Bytes(), []byte("budget")) {
+		t.Errorf("import of an unbounded budget: status %d, body %q; want 400 naming the field", w.Code, w.Body)
+	}
+}
+
+// The bound leaves room: sessions whose every money and time value sits at
+// maxClientValue still encode their risk snapshot, report and final. The
+// Libra+$ session quotes each job near its price ceiling, ~1e33, and
+// refuses it against its 1e15 budget; the Libra bid session accepts jobs
+// at the bound. Sums grow linearly in the decisions, so a journal's ~100k
+// decisions stay far inside float64's range.
+func TestLargestBoundedValuesEncode(t *testing.T) {
+	srv := New(Config{})
+	h := srv.Handler()
+	accepted := 0
+	for _, create := range []CreateSessionRequest{
+		{Policy: "Libra+$", Model: "commodity", BasePrice: maxClientValue},
+		{Policy: "Libra", Model: "bid", BasePrice: maxClientValue},
+	} {
+		var cr CreateSessionResponse
+		mustDo(t, h, http.MethodPost, "/v1/sessions", create, http.StatusCreated, &cr)
+		for i := 0; i < 200; i++ {
+			mustDo(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/jobs", SubmitJobRequest{
+				Submit: maxClientValue, Runtime: maxClientValue, Estimate: maxClientValue, Procs: 1 + i%4,
+				Deadline: maxClientValue, Budget: maxClientValue, PenaltyRate: maxClientValue,
+			}, http.StatusOK, nil)
+		}
+		mustDo(t, h, http.MethodGet, "/v1/risk", nil, http.StatusOK, nil)
+		mustDo(t, h, http.MethodGet, "/v1/sessions/"+cr.ID+"/report", nil, http.StatusOK, nil)
+		var rep ReportResponse
+		mustDo(t, h, http.MethodPost, "/v1/sessions/"+cr.ID+"/finalize", nil, http.StatusOK, &rep)
+		accepted += rep.Report.Accepted
+	}
+	if accepted == 0 {
+		t.Error("no job accepted at the bound; the accepted sums were never exercised")
+	}
+	mustDo(t, h, http.MethodGet, "/v1/risk", nil, http.StatusOK, nil)
 }

@@ -179,6 +179,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // base price) are applied here so the create and import paths resolve
 // identically.
 func buildDriver(p obs.SessionHeader) (*scheduler.Session, obs.SessionHeader, error) {
+	if err := outOfRange(boundedField{"base_price", p.BasePrice}, boundedField{"fault_horizon", p.FaultHorizon}); err != nil {
+		return nil, obs.SessionHeader{}, err
+	}
 	m, err := registry.ParseModel(p.Model)
 	if err != nil {
 		return nil, obs.SessionHeader{}, err
@@ -300,6 +303,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Submit < 0 || req.Advance < 0 {
 		WriteError(w, http.StatusBadRequest, "submit and advance must be non-negative")
+		return
+	}
+	if err := req.checkBounds(); err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	sess.mu.Lock()

@@ -23,9 +23,11 @@
 //   - No interface dispatch on the hot path. The priority queue is a
 //     concrete binary heap over *event with inlined (time, seq) comparisons
 //     rather than container/heap's interface-driven sift.
-//   - Labels are static strings. ScheduleClass takes the label by value and
-//     never formats it; call sites must not build labels with fmt.Sprintf
-//     in hot paths (the label is diagnostic only).
+//   - Labels are static strings. ScheduleClass takes the label by value,
+//     names the event by it only in its errors, and neither formats nor
+//     stores it otherwise; call sites must not build labels with
+//     fmt.Sprintf in hot paths. The Event handle is the record pointer and
+//     its generation, 16 bytes.
 //
 // Recycling is safe against stale handles: Event is a value handle carrying
 // a generation number, and every recycle bumps the record's generation, so

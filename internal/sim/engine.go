@@ -55,12 +55,12 @@ type event struct {
 	gen     uint64
 	index   int32 // heap index; -1 once removed
 	handler Handler
-	// label is retained for tracing and error messages only.
-	label string
 }
 
 // Event is a value handle to a scheduled callback, returned by
-// ScheduleClass and its Must forms.
+// ScheduleClass and its Must forms: the record and its generation, 16
+// bytes with one pointer, since the cluster models keep a handle per
+// running job.
 // The zero value is a valid "no event" handle: it is never pending, never
 // cancelled, and Cancel of it is a no-op returning false.
 //
@@ -72,10 +72,6 @@ type event struct {
 type Event struct {
 	ev  *event
 	gen uint64
-	at  Time
-	// label is copied into the handle so it stays readable after the
-	// record is recycled.
-	label string
 }
 
 // Pending reports whether the event is still queued to fire.
@@ -110,9 +106,10 @@ var ErrPast = errors.New("sim: event scheduled in the past")
 // ScheduleClass queues h to run at time t in tie-break band c (see Class)
 // with a diagnostic label. It returns a handle so the caller may Cancel it
 // later. Scheduling at the current time is allowed (the event fires after
-// the currently running handler returns). The label should be a static
-// string: it is stored, never formatted, and hot paths must not pay for a
-// fmt.Sprintf that is almost never read.
+// the currently running handler returns). The label names the event in
+// ScheduleClass's errors only and is not stored; it should be a static
+// string, so hot paths never pay for a fmt.Sprintf that is almost never
+// read.
 //
 //lint:hot
 func (e *Engine) ScheduleClass(t Time, c Class, label string, h Handler) (Event, error) {
@@ -128,10 +125,9 @@ func (e *Engine) ScheduleClass(t Time, c Class, label string, h Handler) (Event,
 	ev.time = t
 	ev.seq = uint64(c)<<classShift | e.seq
 	ev.handler = h
-	ev.label = label
 	e.seq++
 	e.push(ev)
-	return Event{ev: ev, gen: ev.gen, at: t, label: label}, nil
+	return Event{ev: ev, gen: ev.gen}, nil
 }
 
 // MustScheduleClass is ScheduleClass for callers that guarantee t >= Now();
@@ -269,7 +265,6 @@ func (e *Engine) alloc() *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.handler = nil
-	ev.label = ""
 	ev.index = -1
 	//lint:allow hotalloc — free-list growth is amortized; capacity plateaus at peak queue depth
 	e.free = append(e.free, ev)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdersByTime(t *testing.T) {
@@ -166,21 +168,37 @@ func TestRunUntil(t *testing.T) {
 
 func TestAfterClampsNegative(t *testing.T) {
 	e := NewEngine()
+	firedAt := Time(-1)
 	e.MustSchedule(5, "setup", func() {
-		ev := e.After(-3, "neg", func() {})
-		if ev.Time() != 5 {
-			t.Errorf("After(-3) scheduled at %v, want 5 (clamped)", ev.Time())
+		e.After(-3, "neg", func() { firedAt = e.Now() })
+	})
+	e.Run()
+	if firedAt != 5 {
+		t.Errorf("After(-3) fired at %v, want 5 (clamped)", firedAt)
+	}
+}
+
+// The handle is the record pointer and its generation: the cluster models
+// keep one per running job, so it carries no copy of the time or label.
+func TestEventHandleSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 16 {
+		t.Errorf("Event handle is %d bytes, want 16", got)
+	}
+}
+
+// The label is diagnostic only: the handle does not carry it, and
+// ScheduleClass's errors name the event by it.
+func TestEventLabel(t *testing.T) {
+	e := NewEngine()
+	if _, err := e.Schedule(1, "hello", nil); err == nil || !strings.Contains(err.Error(), "hello") {
+		t.Errorf("nil-handler error %v does not name the label %q", err, "hello")
+	}
+	e.MustSchedule(5, "setup", func() {
+		if _, err := e.Schedule(1, "past", func() {}); err == nil || !strings.Contains(err.Error(), "past") {
+			t.Errorf("past-schedule error %v does not name the label %q", err, "past")
 		}
 	})
 	e.Run()
-}
-
-func TestEventLabel(t *testing.T) {
-	e := NewEngine()
-	ev := e.MustSchedule(1, "hello", func() {})
-	if ev.Label() != "hello" {
-		t.Errorf("Label() = %q, want %q", ev.Label(), "hello")
-	}
 }
 
 // Property: for any set of event times, dispatch order is the sorted order,

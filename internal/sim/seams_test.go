@@ -1,16 +1,8 @@
 package sim
 
 // Test-only entry points of the kernel. The simulation layers schedule
-// through MustSchedule and MustScheduleClass and never read a handle's
-// metadata; the kernel's own tests use these to reach the error paths and
-// to observe handles and the queue.
-
-// Time returns the virtual time at which the event fires (or fired). Zero
-// for the zero handle.
-func (e Event) Time() Time { return e.at }
-
-// Label returns the diagnostic label given at scheduling time.
-func (e Event) Label() string { return e.label }
+// through MustSchedule and MustScheduleClass; the kernel's own tests use
+// these to reach the error paths and to observe handles and the queue.
 
 // Scheduled reports whether the handle was obtained from scheduling (the
 // zero "no event" handle reports false).
