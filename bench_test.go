@@ -584,7 +584,7 @@ func BenchmarkAblationVariablePricing(b *testing.B) {
 		name   string
 		prices economy.PriceSchedule
 	}{
-		{"flat", economy.FlatPrice(1)},
+		{"flat", nil}, // nil Prices charges BasePrice at all times
 		{"peak2x", economy.TimeOfDayPrice{Base: 1, PeakFactor: 2, PeakStartHour: 9, PeakEndHour: 17}},
 		{"peak4x", economy.TimeOfDayPrice{Base: 1, PeakFactor: 4, PeakStartHour: 9, PeakEndHour: 17}},
 	} {

@@ -28,7 +28,7 @@ func TestRunFlagsGoldenFixtures(t *testing.T) {
 			code, stdout.String(), stderr.String())
 	}
 	for _, rule := range []string{"wallclock", "globalrand", "maporder", "floateq", "errignore",
-		"detflow", "hotalloc", "lockflow", "journalfmt", "deadcode", "directive"} {
+		"hotalloc", "lockflow", "journalfmt", "deadcode", "directive"} {
 		if !strings.Contains(stdout.String(), ": "+rule+": ") {
 			t.Errorf("no %s finding in driver output", rule)
 		}
@@ -48,7 +48,6 @@ func TestRunPerAnalyzerExitCode(t *testing.T) {
 		"floateq":    "./internal/stats",
 		"errignore":  "./internal/obs",
 		"directive":  "./directive",
-		"detflow":    "./internal/scheduler",
 		"hotalloc":   "./hotalloc",
 		"lockflow":   "./internal/serve",
 		"journalfmt": "./internal/obs",
@@ -75,7 +74,7 @@ func TestRulesFlag(t *testing.T) {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
 	}
 	for _, rule := range []string{"wallclock", "globalrand", "maporder", "floateq", "errignore",
-		"detflow", "hotalloc", "lockflow", "journalfmt", "deadcode"} {
+		"hotalloc", "lockflow", "journalfmt", "deadcode"} {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Errorf("catalog missing %s:\n%s", rule, stdout.String())
 		}

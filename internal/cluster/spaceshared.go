@@ -26,9 +26,6 @@ type SpaceJob struct {
 	// ev is the pending completion event, cancelled if a node failure
 	// kills the job first.
 	ev sim.Event
-	// done is the completion callback, retained so Fail can report which
-	// callback was disarmed.
-	done func(*workload.Job)
 }
 
 // SpaceShared is a space-shared (dedicated-processor) cluster. Jobs occupy
@@ -205,7 +202,6 @@ func (s *SpaceShared) Start(j *workload.Job, done func(finished *workload.Job)) 
 	s.busyProcs += j.Procs
 	s.running[j] = sj
 	s.insertByEnd(sj)
-	sj.done = done
 	sj.ev = s.engine.MustSchedule(sj.ActualEnd, "spaceshared completion", func() {
 		s.accrue()
 		s.release(sj)

@@ -152,13 +152,6 @@ func TestBoundedBidUtility(t *testing.T) {
 	}
 }
 
-func TestFlatPrice(t *testing.T) {
-	p := FlatPrice(2.5)
-	if p.PriceAt(0) != 2.5 || p.PriceAt(1e9) != 2.5 {
-		t.Error("flat price varied")
-	}
-}
-
 func TestTimeOfDayPrice(t *testing.T) {
 	p := TimeOfDayPrice{Base: 1, PeakFactor: 3, PeakStartHour: 9, PeakEndHour: 17}
 	if got := p.PriceAt(8 * 3600); got != 1 {

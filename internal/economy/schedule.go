@@ -11,12 +11,6 @@ type PriceSchedule interface {
 	PriceAt(t float64) float64
 }
 
-// FlatPrice is the paper's pricing: the same base price at all times.
-type FlatPrice float64
-
-// PriceAt returns the flat price.
-func (p FlatPrice) PriceAt(float64) float64 { return float64(p) }
-
 // TimeOfDayPrice charges a peak multiple of the base price during a daily
 // window — the classic utility tariff, matched to the diurnal arrival
 // cycle production workloads exhibit.

@@ -10,9 +10,8 @@ import (
 )
 
 // This file builds the whole-program view the call-graph analyzers
-// (detflow, hotalloc, deadcode) run over. The graph is deliberately simple
-// and over-approximate in the direction that keeps the determinism
-// guarantee sound:
+// (hotalloc, deadcode) run over. The graph is deliberately simple and
+// over-approximate, so that no code a root can run escapes its analyzer:
 //
 //   - A static call edge is added for every function or method a body
 //     calls.
@@ -25,9 +24,7 @@ import (
 //     that implements it.
 //
 // Bodies outside the module (the standard library) are not part of the
-// graph; the direct-call analyzers already name the standard-library
-// functions that matter (time.Now, math/rand), and those are detected as
-// taint sites inside module bodies rather than as graph nodes.
+// graph.
 
 // funcNode is one module function or method in the call graph.
 type funcNode struct {
@@ -39,29 +36,6 @@ type funcNode struct {
 	callees []*types.Func
 	// hot marks a //lint:hot annotation on the declaration.
 	hot bool
-}
-
-// taintKind distinguishes the two taint sources detflow tracks.
-type taintKind int
-
-const (
-	taintWall taintKind = iota
-	taintRand
-)
-
-func (k taintKind) String() string {
-	if k == taintWall {
-		return "the wall clock"
-	}
-	return "the shared global rand source"
-}
-
-// taintTrace records, for a tainted function, the next hop toward the
-// taint source (nil at a function containing a direct site) and the
-// source description ("time.Now") at the end of the chain.
-type taintTrace struct {
-	via  *types.Func
-	site string
 }
 
 // Program is the module-wide call graph plus the reachability results the
@@ -80,25 +54,19 @@ type Program struct {
 	// or reference, in package and source order.
 	initRefs []*types.Func
 	// allows is the merged suppression set of every loaded package; a
-	// //lint:allow wallclock/globalrand/detflow directive on a direct call
-	// site sanitizes it for taint purposes.
+	// //lint:allow deadcode directive on a declaration makes it a root.
 	allows allowSet
 
-	taintOnce bool
-	taint     [2]map[*types.Func]taintTrace
-
-	hotOnce bool
-	// hotReach maps every function reachable from a //lint:hot root to
-	// that root (the nearest one in deterministic BFS order).
-	hotReach map[*types.Func]*types.Func
-
-	// reached is the set deadcode's forward pass marks from the program
-	// roots; nil until the pass has run.
-	reached map[*types.Func]bool
+	// hot maps every function reachable from a //lint:hot root to that
+	// root; nil until hotalloc first asks.
+	hot map[*types.Func]*types.Func
+	// live is what the forward pass reaches from the program roots; nil
+	// until deadcode first asks.
+	live map[*types.Func]*types.Func
 }
 
 // buildProgram assembles the call graph over the given packages (the whole
-// loaded closure) with the merged allow set acting as taint sanitizers.
+// loaded closure) with their merged allow set.
 func buildProgram(pkgs []*Package, allows allowSet) *Program {
 	p := &Program{
 		pkgs:   pkgs,
@@ -259,156 +227,47 @@ func (p *Program) sortedNodes() []*funcNode {
 	return nodes
 }
 
-// directTaintSites scans one body for unsanitized direct reads of a taint
-// source, returning the description of the first one in source order ("").
-// A //lint:allow wallclock / globalrand / detflow directive covering the
-// site's line sanitizes it: the annotation is the documented, reviewed
-// escape hatch, so taint must not propagate out of it.
-func (p *Program) directTaintSite(n *funcNode, kind taintKind) string {
-	site := ""
-	sitePos := 0
-	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
-		sel, ok := node.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		var desc, rule string
-		if name := pkgFunc(n.pkg, sel, "time"); kind == taintWall && wallclockFuncs[name] {
-			desc, rule = "time."+name, "wallclock"
-		}
-		if kind == taintRand {
-			for _, path := range []string{"math/rand", "math/rand/v2"} {
-				if name := pkgFunc(n.pkg, sel, path); name != "" && !randSeeded[name] {
-					desc, rule = path+"."+name, "globalrand"
-				}
-			}
-		}
-		if desc == "" {
-			return true
-		}
-		pos := n.pkg.Fset.Position(sel.Pos())
-		if p.allows.allowsAt(pos.Filename, pos.Line, rule, "detflow") {
-			return true
-		}
-		if site == "" || pos.Offset < sitePos {
-			site, sitePos = desc, pos.Offset
-		}
-		return true
-	})
-	return site
-}
-
-// ensureTaint runs the two reverse-reachability passes (wall clock, global
-// rand) once, seeding from functions with unsanitized direct sites and
-// propagating caller-ward; an interface method's taint flows from its
-// concrete implementations to the interface call sites.
-func (p *Program) ensureTaint() {
-	if p.taintOnce {
-		return
-	}
-	p.taintOnce = true
-
-	// Reverse adjacency, with interface fan-in: a caller of an interface
-	// method is a (reverse-)neighbor of every implementation.
-	rev := map[*types.Func][]*types.Func{}
-	for _, n := range p.sortedNodes() {
-		for _, callee := range n.callees {
-			rev[callee] = append(rev[callee], n.obj)
-			for _, impl := range p.impls[callee] {
-				rev[impl] = append(rev[impl], n.obj)
-			}
-		}
-	}
-
-	for _, kind := range []taintKind{taintWall, taintRand} {
-		taint := map[*types.Func]taintTrace{}
-		var queue []*types.Func
-		for _, n := range p.sortedNodes() {
-			if site := p.directTaintSite(n, kind); site != "" {
-				taint[n.obj] = taintTrace{site: site}
-				queue = append(queue, n.obj)
-			}
-		}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			for _, caller := range rev[fn] {
-				if _, ok := taint[caller]; ok {
-					continue
-				}
-				taint[caller] = taintTrace{via: fn}
-				queue = append(queue, caller)
-			}
-		}
-		p.taint[kind] = taint
-	}
-}
-
-// taintedBy reports whether fn can reach the given taint source, with the
-// call chain rendered for the finding message.
-func (p *Program) taintedBy(fn *types.Func, kind taintKind) (string, bool) {
-	p.ensureTaint()
-	if _, ok := p.taint[kind][fn]; !ok {
-		return "", false
-	}
-	var hops []string
-	for cur := fn; ; {
-		hops = append(hops, displayName(cur))
-		t := p.taint[kind][cur]
-		if t.via == nil {
-			hops = append(hops, t.site)
-			break
-		}
-		cur = t.via
-	}
-	return strings.Join(hops, " -> "), true
-}
-
-// ensureHot runs the forward reachability pass from the //lint:hot roots
-// once; interface calls fan out to every module implementation.
-func (p *Program) ensureHot() {
-	if p.hotOnce {
-		return
-	}
-	p.hotOnce = true
-	p.hotReach = map[*types.Func]*types.Func{}
+// forward runs one breadth-first pass over the call graph from roots, in
+// order, and maps every module function it reaches to the root it was
+// first reached from. Interface calls fan out to every module
+// implementation.
+func (p *Program) forward(roots []*types.Func) map[*types.Func]*types.Func {
+	reach := map[*types.Func]*types.Func{}
 	var queue []*types.Func
-	for _, n := range p.sortedNodes() {
-		if n.hot {
-			p.hotReach[n.obj] = n.obj
-			queue = append(queue, n.obj)
+	mark := func(fn, root *types.Func) {
+		if _, inModule := p.funcs[fn]; inModule && reach[fn] == nil {
+			reach[fn] = root
+			queue = append(queue, fn)
 		}
+	}
+	for _, r := range roots {
+		mark(r, r)
 	}
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
-		root := p.hotReach[fn]
-		n, ok := p.funcs[fn]
-		if !ok {
-			continue
-		}
-		targets := make([]*types.Func, 0, len(n.callees))
-		for _, callee := range n.callees {
-			targets = append(targets, callee)
-			targets = append(targets, p.impls[callee]...)
-		}
-		for _, t := range targets {
-			if _, ok := p.hotReach[t]; ok {
-				continue
+		for _, callee := range p.funcs[fn].callees {
+			mark(callee, reach[fn])
+			for _, impl := range p.impls[callee] {
+				mark(impl, reach[fn])
 			}
-			if _, inModule := p.funcs[t]; !inModule {
-				continue
-			}
-			p.hotReach[t] = root
-			queue = append(queue, t)
 		}
 	}
+	return reach
 }
 
 // hotRoot returns the //lint:hot root fn is reachable from, if any.
 func (p *Program) hotRoot(fn *types.Func) (*types.Func, bool) {
-	p.ensureHot()
-	root, ok := p.hotReach[fn]
+	if p.hot == nil {
+		var roots []*types.Func
+		for _, n := range p.sortedNodes() {
+			if n.hot {
+				roots = append(roots, n.obj)
+			}
+		}
+		p.hot = p.forward(roots)
+	}
+	root, ok := p.hot[fn]
 	return root, ok
 }
 
@@ -433,14 +292,4 @@ func displayName(fn *types.Func) string {
 		return fmt.Sprintf("(%s%s%s).%s", ptr, pkgName, named.Obj().Name(), fn.Name())
 	}
 	return pkgName + fn.Name()
-}
-
-// allowsAt reports whether any of the rules is allowed at file:line.
-func (s allowSet) allowsAt(file string, line int, rules ...string) bool {
-	for _, r := range rules {
-		if s[file][line][r] {
-			return true
-		}
-	}
-	return false
 }

@@ -55,43 +55,22 @@ var deadcodeAnalyzer = &Analyzer{
 	},
 }
 
-// reaches reports whether fn is reachable from a program root.
+// reaches reports whether fn is reachable from a program root. Every
+// module interface implementation is a root already, so the forward pass's
+// interface fan-out adds nothing here.
 func (p *Program) reaches(fn *types.Func) bool {
-	p.ensureReach()
-	return p.reached[fn]
-}
-
-// ensureReach runs the forward reachability pass from the program roots
-// once. Interface calls need no fan-out: every method implementing a
-// module interface is a root already.
-func (p *Program) ensureReach() {
-	if p.reached != nil {
-		return
-	}
-	p.reached = map[*types.Func]bool{}
-	var queue []*types.Func
-	mark := func(fn *types.Func) {
-		if _, inModule := p.funcs[fn]; inModule && !p.reached[fn] {
-			p.reached[fn] = true
-			queue = append(queue, fn)
+	if p.live == nil {
+		ifaceRoots := p.ifaceMethods()
+		var roots []*types.Func
+		for _, n := range p.sortedNodes() {
+			if ifaceRoots[n.obj] || p.isRoot(n) {
+				roots = append(roots, n.obj)
+			}
 		}
+		p.live = p.forward(append(roots, p.initRefs...))
 	}
-	ifaceRoots := p.ifaceMethods()
-	for _, n := range p.sortedNodes() {
-		if ifaceRoots[n.obj] || p.isRoot(n) {
-			mark(n.obj)
-		}
-	}
-	for _, fn := range p.initRefs {
-		mark(fn)
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, callee := range p.funcs[fn].callees {
-			mark(callee)
-		}
-	}
+	_, ok := p.live[fn]
+	return ok
 }
 
 // isRoot reports whether a declaration runs without any module caller: a
@@ -108,7 +87,7 @@ func (p *Program) isRoot(n *funcNode) bool {
 		}
 	}
 	pos := n.pkg.Fset.Position(n.decl.Name.Pos())
-	return p.allows.allowsAt(pos.Filename, pos.Line, "deadcode")
+	return p.allows[pos.Filename][pos.Line]["deadcode"]
 }
 
 // ifaceMethods returns the concrete module methods that satisfy a method

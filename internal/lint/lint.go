@@ -32,7 +32,7 @@ type Analyzer struct {
 	// Tests marks the analyzer as applying to _test.go files when the run
 	// includes them (Options.Tests). Rules that stay off in tests document
 	// why: test assertions legitimately compare exact floats, and the
-	// call-graph rules (detflow, hotalloc, deadcode) bind production code.
+	// call-graph rules (hotalloc, deadcode) bind production code.
 	Tests bool
 	// Run inspects one package, reporting through the pass.
 	Run func(*Pass)
@@ -60,7 +60,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		deadcodeAnalyzer,
-		detflowAnalyzer,
 		errignoreAnalyzer,
 		floateqAnalyzer,
 		globalrandAnalyzer,
@@ -129,9 +128,10 @@ func RunWith(root string, patterns []string, analyzers []*Analyzer, opts Options
 		return nil, err
 	}
 
-	// Scan directives across the whole loaded closure first: the Program's
-	// taint analysis treats //lint:allow directives anywhere in the tree as
-	// sanitizers, not just in the packages being reported on.
+	// Scan directives across the whole loaded closure first: a
+	// //lint:allow deadcode directive anywhere in the tree makes its
+	// declaration a root of the Program, not just in the packages being
+	// reported on.
 	views := map[*Package]*pkgView{}
 	merged := allowSet{}
 	for _, pkg := range l.Packages() {

@@ -1,13 +1,13 @@
 // Command fixture is the corpus's one program. Its main references every
-// function of the other rules' fixtures under internal/, so the deadcode
-// rule judges only its own fixture (internal/deadcode), and it calls
-// deadcode.Live: main and whatever it reaches are never flagged.
+// function of the other rules' fixtures under internal/ and of detutil, so
+// the deadcode rule judges only its own fixture (internal/deadcode), and it
+// calls deadcode.Live: main and whatever it reaches are never flagged.
 package main
 
 import (
+	"fixture/detutil"
 	"fixture/internal/deadcode"
 	"fixture/internal/obs"
-	"fixture/internal/scheduler"
 	"fixture/internal/serve"
 	"fixture/internal/stats"
 	"fixture/internal/streamrisk"
@@ -18,12 +18,11 @@ func main() {
 	_ = []any{
 		obs.FormatMap, obs.FormatFloat, obs.FormatFixed, obs.FormatDebug,
 		obs.Drop, obs.Kept, obs.Best,
-		scheduler.Run, scheduler.Shuffle, scheduler.Drive, scheduler.Register,
-		scheduler.Quiet, scheduler.Loud,
+		detutil.Stamp, detutil.Draw, detutil.StampAllowed,
 		serve.Leaks, serve.ReturnsWhileHeld, serve.SendsUnderShard, serve.WritesUnderShard,
 		serve.DeferDiscipline, serve.DeferClosure, serve.Paired, serve.NonShardSend, serve.Reviewed,
 		stats.Same, stats.Differs, stats.Mixed, stats.Close, stats.SameInt, stats.ExactZero,
-		streamrisk.SendsUnderEngine, streamrisk.WritesUnderEngine, streamrisk.SameScore, streamrisk.Ingest,
-		streamrisk.Publish, streamrisk.FoldThenPublish, streamrisk.ZeroGuard, streamrisk.Replay,
+		streamrisk.SendsUnderEngine, streamrisk.WritesUnderEngine, streamrisk.SameScore,
+		streamrisk.Publish, streamrisk.FoldThenPublish, streamrisk.ZeroGuard,
 	}
 }

@@ -1,7 +1,7 @@
-// Package detutil is the taint-source helper for the detflow golden cases:
-// scheduler entry points in the fixture reach these functions indirectly,
-// so the direct-call rules fire here and the reachability rule fires at the
-// entry points.
+// Package detutil holds wall-clock and global-rand reads in helper
+// functions: the direct-call rules fire at each read site, whoever calls
+// the helper, and a //lint:allow directive on the site is the one
+// documented exemption.
 package detutil
 
 import (
@@ -9,18 +9,17 @@ import (
 	"time"
 )
 
-// Stamp reads the wall clock; callers become wall-clock tainted.
+// Stamp reads the wall clock.
 func Stamp() time.Time {
 	return time.Now() // want wallclock "time.Now"
 }
 
-// Draw uses the shared global rand; callers become rand tainted.
+// Draw uses the shared global rand.
 func Draw() int {
 	return rand.Intn(10) // want globalrand "math/rand.Intn"
 }
 
-// StampAllowed carries the documented exemption, which acts as a taint
-// sanitizer: callers stay clean.
+// StampAllowed carries the documented exemption.
 func StampAllowed() time.Time {
-	return time.Now() //lint:allow wallclock — fixture: documented real-time read; sanitizes callers
+	return time.Now() //lint:allow wallclock — fixture: documented real-time read
 }

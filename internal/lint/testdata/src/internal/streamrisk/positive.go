@@ -1,14 +1,12 @@
 // Package streamrisk is the positive golden case for the rules scoped to
 // the streaming risk engine: lockflow treats the Engine's mutex as hot
-// (its fold runs on the serve request path), floateq covers the
-// incremental score math, and detflow covers the exported engine API.
+// (its fold runs on the serve request path), and floateq covers the
+// incremental score math.
 package streamrisk
 
 import (
 	"io"
 	"sync"
-
-	"fixture/detutil"
 )
 
 // Engine mirrors the real engine's shape: lockflow keys hot-mutex
@@ -36,10 +34,4 @@ func WritesUnderEngine(e *Engine, w io.Writer) {
 // SameScore compares incremental scores exactly.
 func SameScore(a, b float64) bool {
 	return a == b // want floateq "=="
-}
-
-// Ingest reaches the wall clock: streamed scores would diverge from the
-// offline recomputation of the same journal.
-func Ingest(e *Engine) { // want detflow "wall clock"
-	_ = detutil.Stamp()
 }

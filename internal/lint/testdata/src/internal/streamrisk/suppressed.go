@@ -1,10 +1,6 @@
 package streamrisk
 
-import (
-	"sync"
-
-	"fixture/detutil"
-)
+import "sync"
 
 // fanout is not a hot type: its mutex may be held across the non-blocking
 // sends that fan deltas out.
@@ -36,10 +32,4 @@ func FoldThenPublish(e *Engine, f *fanout, v float64) {
 // ZeroGuard is the sanctioned identity check on a value never computed.
 func ZeroGuard(n float64) bool {
 	return n == 0 //lint:allow floateq — fixture: exact-zero guard on a counter-backed value
-}
-
-// Replay reaches only a sanitized wall-clock site: taint stops at the
-// directive.
-func Replay() {
-	_ = detutil.StampAllowed()
 }

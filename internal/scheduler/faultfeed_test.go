@@ -151,12 +151,24 @@ func hjob(id int, submit, runtime float64, procs int) *workload.Job {
 		Deadline: 10 * runtime, Budget: 100 * runtime}
 }
 
+// failureAtArrival is a hand-built schedule with a failure at an
+// arrival's instant: nodes 0 and 1 fail at 40, when jobs 2 and 3 arrive.
+func failureAtArrival() ([]*workload.Job, []faults.Event) {
+	jobs := []*workload.Job{hjob(1, 0, 50, 1), hjob(2, 40, 30, 2), hjob(3, 40, 10, 1), hjob(4, 90, 20, 4)}
+	events := []faults.Event{
+		{Time: 20, Node: 3, Down: true}, {Time: 40, Node: 0, Down: true}, {Time: 40, Node: 1, Down: true},
+		{Time: 45, Node: 0}, {Time: 80, Node: 3}, {Time: 90, Node: 1},
+	}
+	return jobs, events
+}
+
 // The feed dispatches exactly as the eager loop on hand-built schedules
 // with ties: two nodes failing at one instant, a failure at an arrival's
 // instant (reached by Submit alone and by AdvanceTo then Submit), and a
 // repair at a completion's instant — for every Table V policy under each
 // of its models.
 func TestFaultFeedMatchesEagerOnTies(t *testing.T) {
+	arrivalJobs, arrivalEvents := failureAtArrival()
 	cases := []struct {
 		name   string
 		jobs   []*workload.Job
@@ -171,14 +183,7 @@ func TestFaultFeedMatchesEagerOnTies(t *testing.T) {
 				{Time: 60, Node: 0}, {Time: 60, Node: 1}, {Time: 70, Node: 2},
 			},
 		},
-		{
-			name: "failure at an arrival's instant",
-			jobs: []*workload.Job{hjob(1, 0, 50, 1), hjob(2, 40, 30, 2), hjob(3, 40, 10, 1), hjob(4, 90, 20, 4)},
-			events: []faults.Event{
-				{Time: 20, Node: 3, Down: true}, {Time: 40, Node: 0, Down: true}, {Time: 40, Node: 1, Down: true},
-				{Time: 45, Node: 0}, {Time: 80, Node: 3}, {Time: 90, Node: 1},
-			},
-		},
+		{name: "failure at an arrival's instant", jobs: arrivalJobs, events: arrivalEvents},
 		{
 			name: "repair at a completion's instant",
 			jobs: []*workload.Job{hjob(1, 0, 50, 1), hjob(2, 10, 40, 2), hjob(3, 60, 25, 4)},
@@ -204,6 +209,34 @@ func TestFaultFeedMatchesEagerOnTies(t *testing.T) {
 					eager := driveLogged(t, spec.New, cfg, tc.jobs, tc.events, eagerFaults, dr.advance)
 					feed := driveLogged(t, spec.New, cfg, tc.jobs, tc.events, feedFaults, dr.advance)
 					requireSameLog(t, label, eager, feed)
+				}
+			}
+		}
+	}
+}
+
+// AdvanceTo is not neutral at an exact tie: advancing to 40 before job 2's
+// submit fires node 0's failure at 40 before job 2 arrives, while Submit
+// alone fires the arrival first. Pinned on the "failure at an arrival's
+// instant" schedule for every Table V policy under each of its models.
+func TestAdvanceToFiresTieBeforeArrival(t *testing.T) {
+	jobs, events := failureAtArrival()
+	down := fmt.Sprintf("down 0 @%x ", math.Float64bits(40))
+	for _, spec := range Specs() {
+		for _, m := range spec.Models {
+			cfg := RunConfig{Nodes: 4, Model: m, BasePrice: 1}
+			for _, advance := range []bool{false, true} {
+				log := driveLogged(t, spec.New, cfg, jobs, events, feedFaults, func(int) bool { return advance })
+				i := 0
+				for i < len(log) && !strings.HasPrefix(log[i], down) {
+					i++
+				}
+				if i == len(log) {
+					t.Fatalf("%s/%s advance=%t: node 0 never failed at 40", spec.Name, m, advance)
+				}
+				if arrived := strings.Contains(log[i], "[2 "); arrived == advance {
+					t.Errorf("%s/%s advance=%t: job 2 arrived before node 0 failed = %t, want %t",
+						spec.Name, m, advance, arrived, !advance)
 				}
 			}
 		}

@@ -256,13 +256,16 @@ func (s *Session) QuoteFor(j *workload.Job) float64 {
 }
 
 // AdvanceTo dispatches every pending event up to and including virtual time
-// t without submitting anything — completions, lapses, and injected faults
-// come due exactly as they would on the next submission at t. The broker
-// advances candidate sessions to a job's submission instant before quoting
-// so quotes and availability reflect each cluster's state at that moment.
-// Advancing changes no outcome bytes: every event carries its own timestamp
-// and would be dispatched identically, later, by the next submission or by
-// Finalize. Times in the past (or a finalized session) are a no-op.
+// t without submitting anything — completions, lapses, and injected faults.
+// The broker advances candidate sessions to a job's submission instant
+// before quoting so quotes and availability reflect each cluster's state
+// at that moment. Advancing is not neutral at an exact tie: an event due
+// at t fires here, before the arrival a later Submit at t queues, while
+// Submit alone fires that arrival first (ClassArrival runs before the
+// other classes at one instant), so a fault or completion at a job's exact
+// arrival instant can change the outcome. Events before t fire as the next
+// submission or Finalize would fire them. Times in the past (or a
+// finalized session) are a no-op.
 func (s *Session) AdvanceTo(t float64) {
 	if s.finalized || t <= float64(s.engine.Now()) {
 		return

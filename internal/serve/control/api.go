@@ -39,17 +39,26 @@ type HealthResponse struct {
 // largest (matching the worker-side import bound).
 const maxBodyBytes = 64 << 20
 
-// reply is one worker answer read in full: its status, its body, and the
-// journal line it appended, if any (serve.JournalLineHeader).
+// reply is one worker answer read in full: its status, its body, the
+// journal line it appended, if any (serve.JournalLineHeader), and the
+// headers the plane relays to the client.
 type reply struct {
-	status int
-	body   []byte
-	line   []byte
+	status      int
+	body        []byte
+	line        []byte
+	contentType string
+	retryAfter  string
 }
 
-// proxy relays a worker's verbatim status and body to the client.
+// proxy relays a worker's verbatim status, body, Content-Type and
+// Retry-After to the client.
 func proxy(w http.ResponseWriter, rep reply) {
-	w.Header().Set("Content-Type", "application/json")
+	if rep.contentType != "" {
+		w.Header().Set("Content-Type", rep.contentType)
+	}
+	if rep.retryAfter != "" {
+		w.Header().Set("Retry-After", rep.retryAfter)
+	}
 	w.WriteHeader(rep.status)
 	w.Write(rep.body) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure
 }

@@ -21,9 +21,6 @@ import (
 
 // Config parameterizes the control plane.
 type Config struct {
-	// Replicas is the consistent-hash ring's virtual-node count per worker
-	// (default 128).
-	Replicas int
 	// Client issues all worker requests (default: 10s overall timeout).
 	Client *http.Client
 	// ProbeFailures is how many consecutive failed health probes declare a
@@ -38,9 +35,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 128
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 10 * time.Second}
 	}
@@ -102,7 +96,7 @@ func New(cfg Config) *Plane {
 		vars:    publishVars(),
 		mux:     http.NewServeMux(),
 		risk:    streamrisk.NewEngine(streamrisk.Config{Window: cfg.RiskWindow, MaxSubscribers: cfg.MaxRiskSubscribers}),
-		ring:    ring.New(cfg.Replicas),
+		ring:    ring.New(ring.DefaultReplicas),
 		workers: make(map[string]*worker),
 		routes:  make(map[string]*route),
 	}
@@ -155,7 +149,10 @@ func (p *Plane) do(method, url string, body []byte) (reply, error) {
 	if err != nil {
 		return reply{}, err
 	}
-	return reply{status: resp.StatusCode, body: out, line: []byte(resp.Header.Get(serve.JournalLineHeader))}, nil
+	return reply{
+		status: resp.StatusCode, body: out, line: []byte(resp.Header.Get(serve.JournalLineHeader)),
+		contentType: resp.Header.Get("Content-Type"), retryAfter: resp.Header.Get("Retry-After"),
+	}, nil
 }
 
 // Register adds (or revives) a worker and rebalances: every session whose

@@ -713,3 +713,41 @@ func TestPlaneRefusesUnrecordedSuccess(t *testing.T) {
 		}
 	}
 }
+
+// The plane relays the worker's Content-Type: a journal read through the
+// plane answers application/x-ndjson, as the worker does.
+func TestPlaneRelaysJournalContentType(t *testing.T) {
+	p, _ := newFleet(t, 2)
+	id := createSession(t, p, serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"})
+	w := do(t, p.Handler(), http.MethodGet, "/v1/sessions/"+id+"/journal", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("journal: status %d: %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get("Content-Type"); got != "application/x-ndjson" {
+		t.Errorf("journal through the plane has Content-Type %q, want application/x-ndjson", got)
+	}
+}
+
+// A worker's 503 reaches the client with its Retry-After: a create the
+// owner sheds because its registry is full tells the client when to retry,
+// through the plane as straight at the worker.
+func TestPlaneRelaysRetryAfter(t *testing.T) {
+	ts := httptest.NewServer(serve.New(serve.Config{MaxSessions: 1}).Handler())
+	t.Cleanup(ts.Close)
+	p := New(Config{})
+	if err := p.Register("w-1", ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	create := serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"}
+	createSession(t, p, create)
+	w := do(t, p.Handler(), http.MethodPost, "/v1/sessions", create)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("create on a full worker: status %d, want 503: %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("503 through the plane has Retry-After %q, want 1", got)
+	}
+	if got := w.Header().Get("Content-Type"); got != "application/json" {
+		t.Errorf("503 through the plane has Content-Type %q, want application/json", got)
+	}
+}

@@ -5,20 +5,19 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 // ImportSession rebuilds a live session from its journal bytes by
 // deterministic replay: a fresh driver is built from the header's
 // parameterization (policy, model, machine, fault process), every
-// journaled decision's job is bounds-checked as a live submit is and
-// re-submitted in order, and — when the journal carries a final line —
-// the session is re-finalized. The replayed journal must reproduce the
-// source byte for byte; any divergence aborts the import with the first
-// differing line, because a session whose replayed decisions differ from
-// what clients were already told is not the same session. On success the
-// session is registered under the header's ID and resumes exactly where
-// the exporting worker stopped.
+// journaled decision is re-submitted in order through the live submit
+// path, and — when the journal carries a final line — the session is
+// re-finalized. The replayed journal must reproduce the source byte for
+// byte; any divergence aborts the import with the first differing line,
+// because a session whose replayed decisions differ from what clients were
+// already told is not the same session. Only then is the session
+// registered under the header's ID, resuming exactly where the exporting
+// worker stopped.
 //
 // This is the service plane's migration mechanism: rebalancing, draining,
 // and crash recovery all move sessions as journal bytes and rely on this
@@ -37,39 +36,26 @@ func (s *Server) ImportSession(journal []byte) (string, error) {
 		return "", fmt.Errorf("serve: importing session %s: %w", rec.Header.ID, err)
 	}
 	header.ID = rec.Header.ID
-	replayed := obs.NewSessionJournal(header)
-	nextJob := 1
+	sess := &session{id: header.ID, driver: driver, journal: obs.NewSessionJournal(header), nextJob: 1}
 	for _, d := range rec.Decisions {
-		if err := (SubmitJobRequest{
-			Submit: d.Submit, Runtime: d.Runtime, Estimate: d.Estimate,
-			Deadline: d.Deadline, Budget: d.Budget, PenaltyRate: d.PenaltyRate,
-		}).checkBounds(); err != nil {
-			return "", fmt.Errorf("serve: replaying session %s job %d: %w", rec.Header.ID, d.Job, err)
-		}
-		j := &workload.Job{
+		if _, _, err := sess.submit(SubmitJobRequest{
 			ID: d.Job, Submit: d.Submit, Runtime: d.Runtime, Estimate: d.Estimate,
 			Procs: d.Procs, Deadline: d.Deadline, Budget: d.Budget,
 			PenaltyRate: d.PenaltyRate, HighUrgency: d.HighUrgency,
-		}
-		dec, err := driver.Submit(j)
-		if err != nil {
+		}); err != nil {
 			return "", fmt.Errorf("serve: replaying session %s job %d: %w", rec.Header.ID, d.Job, err)
-		}
-		replayed.Decision(decisionLine(j, dec))
-		if j.ID >= nextJob {
-			nextJob = j.ID + 1
 		}
 	}
 	if rec.Final != nil {
-		replayed.Final(driver.Finalize())
+		sess.journal.Final(driver.Finalize())
 	}
-	if err := replayed.Err(); err != nil {
+	if err := sess.journal.Err(); err != nil {
 		return "", fmt.Errorf("serve: replaying session %s: %w", rec.Header.ID, err)
 	}
-	if !bytes.Equal(replayed.Bytes(), journal) {
+	if !bytes.Equal(sess.journal.Bytes(), journal) {
 		return "", fmt.Errorf(
 			"serve: replay of session %s diverged from its journal at line %d — refusing to import a session that is not bit-identical to the one exported",
-			rec.Header.ID, firstDiffLine(replayed.Bytes(), journal))
+			rec.Header.ID, firstDiffLine(sess.journal.Bytes(), journal))
 	}
 	// Catch the streaming risk engine up on the migrated session's verified
 	// history, then attach it for live events — before the insert makes the
@@ -77,8 +63,8 @@ func (s *Server) ImportSession(journal []byte) (string, error) {
 	// insert failure forgets the session scope; the aggregate scopes keep
 	// the replayed history (those events really were ingested here).
 	s.stream.IngestRecord(rec)
-	replayed.Observe(s.stream)
-	if _, err := s.store.insert(header.ID, driver, replayed, nextJob); err != nil {
+	sess.journal.Observe(s.stream)
+	if err := s.store.insert(sess); err != nil {
 		s.stream.ForgetSession(header.ID)
 		return "", err
 	}

@@ -305,7 +305,7 @@ func TestRiskStreamSubscriberLimit(t *testing.T) {
 	}
 }
 
-// submitUnbounded applies a submit the way handleSubmit does but past its
+// submitUnbounded applies a submit the way session.submit does but past its
 // bounds check: the decision reaches the session's driver and its journal,
 // whose observer feeds the streaming risk engine.
 func submitUnbounded(t *testing.T, srv *Server, id string, j *workload.Job) {

@@ -252,8 +252,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	journal := obs.NewSessionJournal(header)
 	journal.Observe(s.stream)
-	sess, err := s.store.insert(header.ID, driver, journal, 1)
-	if err != nil {
+	sess := &session{id: header.ID, driver: driver, journal: journal, nextJob: 1}
+	if err := s.store.insert(sess); err != nil {
 		switch {
 		case errors.Is(err, errFull):
 			s.vars.requestsShed.Add(1)
@@ -297,20 +297,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if req.Submit != 0 && req.Advance != 0 {
-		WriteError(w, http.StatusBadRequest, "set submit or advance, not both")
-		return
-	}
-	if req.Submit < 0 || req.Advance < 0 {
-		WriteError(w, http.StatusBadRequest, "submit and advance must be non-negative")
-		return
-	}
-	if err := req.checkBounds(); err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	resp, line, err := sess.submit(req)
+	if err != nil {
+		status := http.StatusBadRequest
+		if sess.driver.Finalized() {
+			status = http.StatusConflict
+		}
+		WriteError(w, status, "%v", err)
+		return
+	}
+	w.Header().Set(JournalLineHeader, string(line))
+	s.vars.jobsSubmitted.Add(1)
+	WriteJSON(w, http.StatusOK, resp)
+}
+
+// submit is the one path a job takes into a session, for a live submit
+// and for an import's replay alike: it validates the request, fills in the
+// defaults, submits the job, journals the decision and advances the
+// session's job numbering. It returns the client's answer and the journal
+// line. The caller holds sess.mu, or owns a session not yet in the store.
+func (sess *session) submit(req SubmitJobRequest) (SubmitJobResponse, []byte, error) {
+	if req.Submit != 0 && req.Advance != 0 {
+		return SubmitJobResponse{}, nil, errors.New("set submit or advance, not both")
+	}
+	if req.Submit < 0 || req.Advance < 0 {
+		return SubmitJobResponse{}, nil, errors.New("submit and advance must be non-negative")
+	}
+	if err := req.checkBounds(); err != nil {
+		return SubmitJobResponse{}, nil, err
+	}
 	j := &workload.Job{
 		ID: req.ID, Submit: req.Submit, Runtime: req.Runtime, Estimate: req.Estimate,
 		Procs: req.Procs, Deadline: req.Deadline, Budget: req.Budget, PenaltyRate: req.PenaltyRate,
@@ -330,25 +347,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := sess.driver.Submit(j)
 	if err != nil {
-		status := http.StatusBadRequest
-		if sess.driver.Finalized() {
-			status = http.StatusConflict
-		}
-		WriteError(w, status, "%v", err)
-		return
+		return SubmitJobResponse{}, nil, err
 	}
 	if j.ID >= sess.nextJob {
 		sess.nextJob = j.ID + 1
 	}
-	w.Header().Set(JournalLineHeader, string(sess.journal.Decision(decisionLine(j, d))))
-	s.vars.jobsSubmitted.Add(1)
-	WriteJSON(w, http.StatusOK, SubmitJobResponse{
-		Job: j.ID, Admission: d.Admission.String(), Quote: d.Quote, Now: sess.driver.Now(),
-	})
+	line := sess.journal.Decision(decisionLine(j, d))
+	return SubmitJobResponse{Job: j.ID, Admission: d.Admission.String(), Quote: d.Quote, Now: sess.driver.Now()}, line, nil
 }
 
-// decisionLine is the journal line of one submitted job and its answer,
-// for a live submit and for an import's replay alike.
+// decisionLine is the journal line of one submitted job and its answer.
 func decisionLine(j *workload.Job, d scheduler.Decision) obs.SessionDecision {
 	return obs.SessionDecision{
 		Job: j.ID, Submit: j.Submit, Runtime: j.Runtime, Estimate: j.Estimate,

@@ -90,28 +90,27 @@ func (st *store) allocID() string {
 	return fmt.Sprintf("s-%d", st.nextID.Add(1))
 }
 
-// insert registers a session under a previously allocated (or imported)
-// ID. The capacity check is an atomic reserve-then-verify so concurrent
-// creates cannot overshoot max; an ID already live on the worker is
-// refused (a control plane re-importing a session it failed to release
-// must hear about it, not silently shadow the live copy).
-func (st *store) insert(id string, driver *scheduler.Session, journal *obs.SessionJournal, nextJob int) (*session, error) {
+// insert registers a session under its previously allocated (or
+// imported) ID. The capacity check is an atomic reserve-then-verify so
+// concurrent creates cannot overshoot max; an ID already live on the
+// worker is refused (a control plane re-importing a session it failed to
+// release must hear about it, not silently shadow the live copy).
+func (st *store) insert(s *session) error {
 	if st.count.Add(1) > int64(st.max) {
 		st.count.Add(-1)
-		return nil, errFull
+		return errFull
 	}
-	s := &session{id: id, driver: driver, journal: journal, nextJob: nextJob}
 	s.touch(st.now())
 	sh := st.shardFor(s.id)
 	sh.mu.Lock()
 	if _, dup := sh.sessions[s.id]; dup {
 		sh.mu.Unlock()
 		st.count.Add(-1)
-		return nil, errExists
+		return errExists
 	}
 	sh.sessions[s.id] = s
 	sh.mu.Unlock()
-	return s, nil
+	return nil
 }
 
 // get looks a session up, stamps it used, and marks one request in flight;

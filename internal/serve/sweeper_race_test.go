@@ -114,7 +114,7 @@ func TestSweeperInflightGuardStress(t *testing.T) {
 				s, ok := st.get(id)
 				if !ok {
 					// Evicted between requests — legitimate; start over.
-					if _, err := st.insert(id, nil, nil, 1); err != nil {
+					if err := st.insert(&session{id: id, nextJob: 1}); err != nil {
 						t.Errorf("holder %d: reinsert: %v", hld, err)
 						return
 					}

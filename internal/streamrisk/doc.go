@@ -20,5 +20,5 @@
 // and the consumer is flagged for a snapshot resync (see the SSE handlers).
 // Score computation never reads the wall clock — event time comes from the
 // journal — and the ingest path does not allocate at steady state; both are
-// enforced by repolint (detflow, hotalloc) and a zero-alloc test.
+// enforced by repolint (wallclock, hotalloc) and a zero-alloc test.
 package streamrisk
