@@ -7,8 +7,9 @@ import (
 )
 
 // lockflowAnalyzer checks mutex discipline in the service layer
-// (internal/serve) and the streaming risk engine (internal/streamrisk),
-// where a held lock sits on the request path of every admission decision:
+// (internal/serve), its control plane (internal/serve/control) and the
+// streaming risk engine (internal/streamrisk), where a held lock sits on
+// the request path of every admission decision:
 //
 //   - every Lock/RLock in a function body has a matching Unlock/RUnlock in
 //     the same body — either deferred or on the straight-line path — so no
@@ -29,7 +30,7 @@ import (
 var lockflowAnalyzer = &Analyzer{
 	Name:  "lockflow",
 	Doc:   "Lock without Unlock on all paths, return while holding, or blocking work under a hot mutex",
-	Match: inPackages("internal/serve", "internal/streamrisk"),
+	Match: inPackages("internal/serve", "internal/serve/control", "internal/streamrisk"),
 	Run: func(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
 			for _, d := range f.Decls {

@@ -9,6 +9,7 @@ import (
 	"fixture/internal/deadcode"
 	"fixture/internal/obs"
 	"fixture/internal/serve"
+	"fixture/internal/serve/control"
 	"fixture/internal/stats"
 	"fixture/internal/streamrisk"
 )
@@ -21,6 +22,7 @@ func main() {
 		detutil.Stamp, detutil.Draw, detutil.StampAllowed,
 		serve.Leaks, serve.ReturnsWhileHeld, serve.SendsUnderShard, serve.WritesUnderShard,
 		serve.DeferDiscipline, serve.DeferClosure, serve.Paired, serve.NonShardSend, serve.Reviewed,
+		control.PlaceLeaks, control.ReconcileLeaks,
 		stats.Same, stats.Differs, stats.Mixed, stats.Close, stats.SameInt, stats.ExactZero,
 		streamrisk.SendsUnderEngine, streamrisk.WritesUnderEngine, streamrisk.SameScore,
 		streamrisk.Publish, streamrisk.FoldThenPublish, streamrisk.ZeroGuard,

@@ -89,7 +89,7 @@ func TestPlaneReRegistrationRevives(t *testing.T) {
 			t.Fatal("w-1 not revived by re-registration")
 		}
 	}
-	// Every session answers, wherever the rebalance put it.
+	// Every session answers, wherever the reconcile put it.
 	for _, id := range ids {
 		mustDo(t, p.Handler(), http.MethodGet, "/v1/sessions/"+id+"/report", nil, http.StatusOK, nil)
 	}

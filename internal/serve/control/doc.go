@@ -13,16 +13,34 @@
 // Sessions move between workers as journal bytes. The plane keeps a
 // shadow journal per session: the worker's own journal lines, kept
 // verbatim as each create, submit and finalize returns the line it
-// appended (serve.JournalLineHeader). A planned move (drain, rebalance
-// after a join) imports the shadow on the destination, which rebuilds the
-// session by deterministic replay (serve.ImportSession) and refuses any
-// journal whose replay is not bit-identical, and then releases the source;
-// a recovery imports the shadow onto the session's ring owner, after a
-// crash or after a live worker answered 404 for a session it lost (a
-// restart, an idle eviction). Either way the rebuilt session is
-// byte-for-byte the session the client was talking to, so a migration can
-// never change an observable byte. A worker success the shadow cannot
-// record is answered 502, never passed on.
+// appended (serve.JournalLineHeader). Every move is one placement of that
+// shadow on a destination, which rebuilds the session by deterministic
+// replay (serve.ImportSession) and refuses any journal whose replay is
+// not bit-identical, so a move can never change an observable byte. A
+// worker success the shadow cannot record is answered 502, never passed
+// on.
+//
+// One rule places every session:
+//
+//   - Every route lives on its ring owner. The ring holds exactly the
+//     workers that are healthy and not draining.
+//   - Every membership change reconciles: a join, a drain, a
+//     deregistration and a death the prober declares each re-place, in
+//     session-ID order, every route that is not on its ring owner.
+//   - A placement imports the shadow on the destination first. A source
+//     the plane still considers healthy is then released (a migration); a
+//     dead or deregistered source is never contacted, nor is a source that
+//     is the destination itself (a recovery).
+//   - A failed placement leaves the route where it was, for the next
+//     reconcile, or the session's next request, to retry.
+//
+// A forwarded request that finds its worker unreachable marks it dead, and
+// one that finds the session gone (a 404 from a restarted worker, an idle
+// eviction) is placed again; either way the request is retried once on
+// the ring owner. Marking a worker dead there does not reconcile: forward
+// holds the session's route mutex, and reconcile takes every route's. The
+// dead worker's other sessions move on their own next request, or at the
+// next membership change.
 //
 // Lock discipline: plane.mu guards the worker registry, the ring, and the
 // route table, and is never held across worker I/O. Each route (one per

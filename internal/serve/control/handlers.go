@@ -76,8 +76,8 @@ func (p *Plane) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// session on the ID's next owner.
 	for attempt := 0; attempt < 3; attempt++ {
 		owner := p.ownerFor(id)
-		url, ok := p.workerURL(owner) // no worker is named ""
-		if !ok {
+		url, _ := p.workerURL(owner) // no worker is named ""
+		if url == "" {
 			serve.WriteError(w, http.StatusServiceUnavailable, "no healthy workers")
 			return
 		}
@@ -102,7 +102,7 @@ func (p *Plane) handleCreate(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
 		p.routes[id] = &route{id: id, worker: owner, shadow: shadow}
 		p.mu.Unlock()
-		p.vars.sessionsCreated.Add(1)
+		sessionsCreated.Add(1)
 		proxy(w, rep)
 		return
 	}
@@ -155,7 +155,7 @@ func (p *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if !record(w, rt, rep) {
 			return
 		}
-		p.vars.jobsForwarded.Add(1)
+		jobsForwarded.Add(1)
 	}
 	proxy(w, rep)
 }

@@ -57,8 +57,8 @@ type worker struct {
 
 // route is one session's placement: its current owner and the shadow
 // journal — the owner's own journal lines, kept verbatim as each create,
-// submit and finalize returns them. A move imports the shadow on the
-// destination and then releases the source. mu serializes the session's
+// submit and finalize returns them. Every placement imports the shadow on
+// the destination (see place). mu serializes the session's
 // forwarded requests (held across the worker round-trip on purpose — that
 // is what keeps the shadow in request order); see the package comment for
 // the lock discipline.
@@ -76,7 +76,6 @@ type route struct {
 // surface as a worker — fleet-wide, across migrations and recoveries.
 type Plane struct {
 	cfg  Config
-	vars *counters
 	mux  *http.ServeMux
 	risk *streamrisk.Engine
 
@@ -93,10 +92,9 @@ func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
 	p := &Plane{
 		cfg:     cfg,
-		vars:    publishVars(),
 		mux:     http.NewServeMux(),
 		risk:    streamrisk.NewEngine(streamrisk.Config{Window: cfg.RiskWindow, MaxSubscribers: cfg.MaxRiskSubscribers}),
-		ring:    ring.New(ring.DefaultReplicas),
+		ring:    ring.New(),
 		workers: make(map[string]*worker),
 		routes:  make(map[string]*route),
 	}
@@ -155,56 +153,39 @@ func (p *Plane) do(method, url string, body []byte) (reply, error) {
 	}, nil
 }
 
-// Register adds (or revives) a worker and rebalances: every session whose
-// ring owner changed moves to its new owner. The consistent-hash ring
-// keeps that movement minimal — only sessions the joiner now owns move.
+// Register adds (or revives) a worker and reconciles. The consistent-hash
+// ring keeps that minimal: besides sessions a dead worker or a failed
+// placement left off their owner, only sessions the joiner now owns move.
 func (p *Plane) Register(name, url string) error {
 	if name == "" || url == "" {
 		return fmt.Errorf("control: worker registration needs a name and a URL")
 	}
 	p.mu.Lock()
-	if w, ok := p.workers[name]; ok {
-		// Re-registration revives a worker the prober declared dead (or
-		// updates a moved URL). A restarted worker comes back empty; any
-		// sessions still routed to it are rebuilt from shadows by the
-		// rebalance below or by per-request recovery.
-		w.url = url
-		w.healthy = true
-		w.draining = false
-		w.failures = 0
-		if !p.ring.Has(name) {
-			if err := p.ring.Add(name); err != nil {
-				p.mu.Unlock()
-				return err
-			}
-		}
-	} else {
-		if err := p.ring.Add(name); err != nil {
-			p.mu.Unlock()
-			return err
-		}
-		p.workers[name] = &worker{name: name, url: url, healthy: true}
+	w, ok := p.workers[name]
+	if !ok {
+		w = &worker{name: name}
+		p.workers[name] = w
 	}
+	// Re-registration revives a worker the prober declared dead (or updates
+	// a moved URL). A restarted worker comes back empty; sessions still
+	// routed to it are rebuilt from shadows by per-request recovery.
+	w.url, w.healthy, w.draining, w.failures = url, true, false, 0
+	p.syncRing(name)
 	p.mu.Unlock()
-	p.vars.workersRegistered.Add(1)
-	p.rebalance()
+	workersRegistered.Add(1)
+	p.reconcile()
 	return nil
 }
 
 // Deregister removes a worker after moving every session off it.
 func (p *Plane) Deregister(name string) error {
-	p.mu.Lock()
-	if _, ok := p.workers[name]; !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("control: unknown worker %q", name)
+	if _, err := p.leave(name); err != nil {
+		return err
 	}
-	if p.ring.Has(name) {
-		p.ring.Remove(name) //lint:allow errignore — Has was just checked under the same lock
-	}
-	p.mu.Unlock()
-	p.evacuate(name)
+	p.reconcile()
 	p.mu.Lock()
 	delete(p.workers, name)
+	p.syncRing(name)
 	p.mu.Unlock()
 	return nil
 }
@@ -213,27 +194,48 @@ func (p *Plane) Deregister(name string) error {
 // sessions, and moves its sessions to the remaining workers. The worker
 // stays registered (and draining) until deregistered.
 func (p *Plane) DrainWorker(name string) error {
-	p.mu.Lock()
-	w, ok := p.workers[name]
-	if !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("control: unknown worker %q", name)
+	url, err := p.leave(name)
+	if err != nil {
+		return err
 	}
-	w.draining = true
-	if p.ring.Has(name) {
-		p.ring.Remove(name) //lint:allow errignore — Has was just checked under the same lock
-	}
-	url := w.url
-	p.mu.Unlock()
 	// Best-effort: the moves below import the shadow journal, so they do
 	// not need the worker to answer.
 	p.do(http.MethodPost, url+"/worker/v1/drain", nil)
-	p.evacuate(name)
+	p.reconcile()
 	return nil
 }
 
-// snapshotRoutes returns the current route set without holding the
-// plane's lock beyond the copy.
+// leave marks a registered worker draining, which takes it out of the
+// ring. It stays registered, so the moves that follow release its copies
+// while the plane considers it healthy. It returns the worker's URL.
+func (p *Plane) leave(name string) (string, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w, ok := p.workers[name]
+	if !ok {
+		return "", fmt.Errorf("control: unknown worker %q", name)
+	}
+	w.draining = true
+	p.syncRing(name)
+	return w.url, nil
+}
+
+// syncRing makes the named worker a ring member exactly when it is
+// registered, healthy and not draining: ring membership is a function of
+// worker state, and this is the one place that changes it. Caller holds
+// p.mu and has just changed that state.
+func (p *Plane) syncRing(name string) {
+	w := p.workers[name]
+	switch member := w != nil && w.healthy && !w.draining; {
+	case member && !p.ring.Has(name):
+		p.ring.Add(name) //lint:allow errignore — Register refuses an empty name, and Has was just checked under the same lock
+	case !member && p.ring.Has(name):
+		p.ring.Remove(name) //lint:allow errignore — Has was just checked under the same lock
+	}
+}
+
+// snapshotRoutes returns the current route set in session-ID order
+// without holding the plane's lock beyond the copy.
 func (p *Plane) snapshotRoutes() []*route {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -261,120 +263,86 @@ func (p *Plane) ownerFor(id string) string {
 	return owner
 }
 
-// workerURL resolves a worker name to its base URL.
-func (p *Plane) workerURL(name string) (string, bool) {
+// workerURL resolves a worker name to its base URL ("" when no such
+// worker is registered) and reports whether the plane considers it
+// healthy.
+func (p *Plane) workerURL(name string) (url string, healthy bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w, ok := p.workers[name]
-	if !ok {
-		return "", false
+	if w, ok := p.workers[name]; ok {
+		return w.url, w.healthy
 	}
-	return w.url, true
+	return "", false
 }
 
-// markDead records a worker as unhealthy and pulls it from the ring so no
-// new placements land on it.
+// markDead records a worker as unhealthy, which takes it out of the ring
+// so no new placements land on it. It does not reconcile: forward calls it
+// holding a route's mutex, and reconcile takes every route's.
 func (p *Plane) markDead(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if w, ok := p.workers[name]; ok {
 		w.healthy = false
 	}
-	if p.ring.Has(name) {
-		p.ring.Remove(name) //lint:allow errignore — Has was just checked under the same lock
-	}
+	p.syncRing(name)
 }
 
-// rebalance moves every session whose ring owner differs from its current
-// worker. Called after membership changes.
-func (p *Plane) rebalance() {
+// reconcile puts every route on its ring owner, in session-ID order. It
+// runs after every membership change. A placement that fails leaves its
+// route where it was, for the next reconcile or the session's next
+// request to retry.
+func (p *Plane) reconcile() {
 	for _, r := range p.snapshotRoutes() {
 		r.mu.Lock()
-		if want := p.ownerFor(r.id); want != "" && want != r.worker {
-			p.moveRoute(r, want) // a failed move leaves the route where it was
+		if dst := p.ownerFor(r.id); dst != "" && dst != r.worker {
+			p.place(r, dst) // a failed placement waits for the next reconcile
 		}
 		r.mu.Unlock()
 	}
 }
 
-// evacuate moves every session off the named worker.
-func (p *Plane) evacuate(name string) {
-	for _, r := range p.snapshotRoutes() {
-		r.mu.Lock()
-		if r.worker == name {
-			if dst := p.ownerFor(r.id); dst != "" {
-				p.moveRoute(r, dst)
-			}
-			// No destination: the fleet is empty. The route keeps pointing
-			// at the gone worker; per-request recovery re-places it once a
-			// worker returns.
-		}
-		r.mu.Unlock()
-	}
-}
-
-// moveRoute migrates one session to dst, caller holding r.mu: the shadow
-// journal is imported on the destination, which rebuilds the session by
-// replay and refuses anything that is not bit-identical, and only after
-// the destination's 201 is the source asked to release its copy. A failed
-// import leaves the route, and the session, where they were.
-func (p *Plane) moveRoute(r *route, dst string) error {
-	src := r.worker
-	if err := p.importShadow(r, dst); err != nil {
-		return fmt.Errorf("control: importing session %s on %s: %w", r.id, dst, err)
-	}
-	if url, ok := p.workerURL(src); ok {
-		// Best-effort: the destination owns the session now. A live source
-		// that misses the release keeps an unfenced copy.
-		p.do(http.MethodPost, url+"/worker/v1/sessions/"+r.id+"/release", nil)
-	}
-	p.vars.migrations.Add(1)
-	return nil
-}
-
-// recoverRoute re-places one session its worker lost — the worker stopped
-// answering, or answers but no longer holds the session (a restart, an
-// idle eviction): the shadow journal is imported onto the session's ring
-// owner, which may be that same worker. Caller holds r.mu.
-func (p *Plane) recoverRoute(r *route) error {
-	dst := p.ownerFor(r.id)
-	if dst == "" {
-		return fmt.Errorf("control: no healthy workers to recover session %s onto", r.id)
-	}
-	if err := p.importShadow(r, dst); err != nil {
-		return fmt.Errorf("control: recovering session %s onto %s: %w", r.id, dst, err)
-	}
-	p.vars.recoveries.Add(1)
-	return nil
-}
-
-// importShadow rebuilds the session on dst from its shadow journal and
-// routes it there. Caller holds r.mu.
-func (p *Plane) importShadow(r *route, dst string) error {
-	url, ok := p.workerURL(dst)
-	if !ok {
-		return fmt.Errorf("worker %q unknown", dst)
+// place moves one session to dst, caller holding r.mu: the shadow journal
+// is imported on dst, which rebuilds the session by replay and refuses
+// anything that is not bit-identical, and the session is routed there. A
+// source that is another worker the plane still considers healthy is
+// asked to release its copy, only after dst's 201, and the placement
+// counts as a migration. A source that is dead, deregistered or dst itself
+// is sent nothing, and the placement counts as a recovery. A failed import
+// leaves the route, and the session, where they were.
+func (p *Plane) place(r *route, dst string) error {
+	url, _ := p.workerURL(dst)
+	if url == "" {
+		return fmt.Errorf("control: no healthy worker to place session %s on", r.id)
 	}
 	rep, err := p.do(http.MethodPost, url+"/worker/v1/sessions/import", r.shadow.Bytes())
+	if err == nil && rep.status != http.StatusCreated {
+		err = errors.New(string(rep.body))
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("control: placing session %s on %s: %w", r.id, dst, err)
 	}
-	if rep.status != http.StatusCreated {
-		return errors.New(string(rep.body))
-	}
+	src := r.worker
 	r.worker = dst
+	if url, healthy := p.workerURL(src); healthy && src != dst {
+		// Best-effort: dst owns the session now. A live source that misses
+		// the release keeps an unfenced copy.
+		p.do(http.MethodPost, url+"/worker/v1/sessions/"+r.id+"/release", nil)
+		migrations.Add(1)
+		return nil
+	}
+	recoveries.Add(1)
 	return nil
 }
 
 // forward proxies one session-scoped request to the session's current
-// worker, recovering the session (and retrying once) if the worker does
-// not answer — it is then declared dead — or answers 404, having lost the
-// session. When the retry cannot be made it writes the 503 itself and
-// reports false. Caller holds rt.mu.
+// worker, placing the session on its ring owner (and retrying once) if the
+// worker does not answer — it is then declared dead — or answers 404,
+// having lost the session. When the retry cannot be made it writes the
+// 503 itself and reports false. Caller holds rt.mu.
 func (p *Plane) forward(w http.ResponseWriter, rt *route, r *http.Request, body []byte) (reply, bool) {
 	for attempt := 0; ; attempt++ {
-		url, answered := p.workerURL(rt.worker)
-		if answered {
+		answered := false
+		if url, _ := p.workerURL(rt.worker); url != "" {
 			rep, err := p.do(r.Method, url+r.URL.Path, body)
 			if err == nil && (rep.status != http.StatusNotFound || attempt > 0) {
 				return rep, true
@@ -386,7 +354,7 @@ func (p *Plane) forward(w http.ResponseWriter, rt *route, r *http.Request, body 
 			if !answered {
 				p.markDead(rt.worker)
 			}
-			err = p.recoverRoute(rt)
+			err = p.place(rt, p.ownerFor(rt.id))
 		} else {
 			err = fmt.Errorf("control: session %s unreachable after recovery", rt.id)
 		}
@@ -425,11 +393,11 @@ func (p *Plane) Topology() TopologyResponse {
 
 // ProbeOnce polls every worker's health endpoint once. A worker failing
 // its cfg.ProbeFailures-th consecutive probe is declared dead: it leaves
-// the ring and every session routed to it is rebuilt from its shadow
-// journal on a new owner. A dead worker answering again is NOT revived
-// automatically — an empty restarted process answers probes too; revival
-// is re-registration, which rebalances deliberately. Returns the names of
-// workers declared dead by this probe, sorted.
+// the ring, and the reconcile that follows rebuilds every session routed
+// to it from its shadow journal on a new owner. A dead worker answering
+// again is NOT revived automatically — an empty restarted process answers
+// probes too; revival is re-registration, which reconciles deliberately.
+// Returns the names of workers declared dead by this probe, sorted.
 func (p *Plane) ProbeOnce() []string {
 	type target struct{ name, url string }
 	p.mu.Lock()
@@ -460,30 +428,16 @@ func (p *Plane) ProbeOnce() []string {
 			w.failures++
 			if w.failures >= p.cfg.ProbeFailures && w.healthy {
 				w.healthy = false
-				if p.ring.Has(t.name) {
-					p.ring.Remove(t.name) //lint:allow errignore — Has was just checked under the same lock
-				}
+				p.syncRing(t.name)
 				dead = append(dead, t.name)
 			}
 		}
 		p.mu.Unlock()
 	}
-	for _, name := range dead {
-		p.recoverWorker(name)
+	if len(dead) > 0 {
+		p.reconcile()
 	}
 	return dead
-}
-
-// recoverWorker rebuilds every session routed to a dead worker from its
-// shadow journal.
-func (p *Plane) recoverWorker(name string) {
-	for _, r := range p.snapshotRoutes() {
-		r.mu.Lock()
-		if r.worker == name {
-			p.recoverRoute(r) // a failed recovery retries on the next forward
-		}
-		r.mu.Unlock()
-	}
 }
 
 // RunProber polls worker health every interval until ctx is cancelled.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/qos"
 	"repro/internal/serve"
+	"repro/internal/serve/ring"
 	"repro/internal/workload"
 )
 
@@ -249,7 +251,7 @@ func TestPlaneCrashRecovery(t *testing.T) {
 }
 
 // A worker that restarts under its own name comes back empty, and the
-// ring still names it the session's owner, so no rebalance moves the
+// ring still names it the session's owner, so no reconcile moves the
 // session: the next request reaches a worker that answers 404. The plane
 // rebuilds the session there from its shadow journal, retries, and keeps
 // the worker healthy; the run stays byte-identical to an uninterrupted one.
@@ -513,6 +515,22 @@ func TestPlaneValidation(t *testing.T) {
 	}
 }
 
+// refusingWorker starts a data-plane worker that answers every session
+// import 500 while refuse is set.
+func refusingWorker(t *testing.T, refuse *atomic.Bool) *httptest.Server {
+	t.Helper()
+	inner := serve.New(serve.Config{}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if refuse.Load() && r.URL.Path == "/worker/v1/sessions/import" {
+			http.Error(w, "import refused", http.StatusInternalServerError)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // A failed move must not lose the session. The plane imports on the
 // destination before it releases the source, so when the destination
 // refuses the import, the session keeps answering on its old owner and
@@ -520,17 +538,9 @@ func TestPlaneValidation(t *testing.T) {
 func TestPlaneFailedMoveKeepsSession(t *testing.T) {
 	p := New(Config{})
 	h := p.Handler()
-	w1 := newWorker(t)
-	inner := serve.New(serve.Config{}).Handler()
-	w2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/worker/v1/sessions/import" {
-			http.Error(w, "import refused", http.StatusInternalServerError)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	t.Cleanup(w2.Close)
-	for i, url := range []string{w1.URL, w2.URL} {
+	var refuse atomic.Bool
+	refuse.Store(true)
+	for i, url := range []string{newWorker(t).URL, refusingWorker(t, &refuse).URL} {
 		mustDo(t, h, http.MethodPost, "/control/v1/workers",
 			RegisterWorkerRequest{Name: fmt.Sprintf("w-%d", i+1), URL: url}, http.StatusCreated, nil)
 	}
@@ -567,8 +577,66 @@ func TestPlaneFailedMoveKeepsSession(t *testing.T) {
 	}
 }
 
+// A failed placement is retried by the next reconcile, whichever
+// membership change runs it. w-2 refuses imports while a drain empties
+// w-1, so the sessions the ring hands w-2 stay on w-1. Once w-2 accepts
+// again, draining w-3 leaves w-2 the only ring member, and every session
+// moves there, the ones the first drain left on w-1 included, and
+// finishes with the bytes of an uninterrupted run.
+func TestPlaneReconcileRetriesFailedMove(t *testing.T) {
+	p := New(Config{})
+	h := p.Handler()
+	var refuse atomic.Bool
+	refuse.Store(true)
+	for i, url := range []string{newWorker(t).URL, refusingWorker(t, &refuse).URL, newWorker(t).URL} {
+		mustDo(t, h, http.MethodPost, "/control/v1/workers",
+			RegisterWorkerRequest{Name: fmt.Sprintf("w-%d", i+1), URL: url}, http.StatusCreated, nil)
+	}
+	create := serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"}
+	jobs := testTrace(t, 12, 5)
+	ids := make([]string, 12)
+	for i := range ids {
+		ids[i] = createSession(t, p, create)
+		for _, j := range jobs[:6] {
+			mustDo(t, h, http.MethodPost, "/v1/sessions/"+ids[i]+"/jobs", submitReq(j), http.StatusOK, nil)
+		}
+	}
+
+	if err := p.DrainWorker("w-1"); err != nil {
+		t.Fatal(err)
+	}
+	stranded := 0
+	for _, id := range ids {
+		if ownerOf(t, p, id) == "w-1" {
+			stranded++
+		}
+	}
+	if stranded == 0 {
+		t.Fatal("w-2 refused no move off w-1; the test needs one")
+	}
+	refuse.Store(false)
+	if err := p.DrainWorker("w-3"); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if owner := ownerOf(t, p, id); owner != "w-2" {
+			t.Errorf("session %s routed to %s after w-3's drain, want w-2, the only ring member", id, owner)
+		}
+	}
+	for _, id := range ids {
+		for _, j := range jobs[6:] {
+			mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
+		}
+		_, jr := finishSession(t, h, id)
+		_, jrRef := referenceRun(t, id, create, jobs)
+		if !bytes.Equal(jr, jrRef) {
+			t.Errorf("session %s: journal after a retried move diverged from the uninterrupted run:\ngot:\n%s\nwant:\n%s", id, jr, jrRef)
+		}
+	}
+}
+
 // countingTransport records every worker request the plane sends, as
-// "METHOD path".
+// "METHOD host/path".
 type countingTransport struct {
 	mu   sync.Mutex
 	reqs []string
@@ -576,7 +644,7 @@ type countingTransport struct {
 
 func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	c.mu.Lock()
-	c.reqs = append(c.reqs, r.Method+" "+r.URL.Path)
+	c.reqs = append(c.reqs, r.Method+" "+r.URL.Host+r.URL.Path)
 	c.mu.Unlock()
 	return http.DefaultTransport.RoundTrip(r)
 }
@@ -591,17 +659,26 @@ func (c *countingTransport) take() []string {
 }
 
 // The worker round trips behind each plane operation: the create, each
-// submit and the finalize are one request apiece (the worker answers with
-// the journal line the shadow keeps), and a drain move is two, import
-// then release (the shadow is what gets imported).
+// submit and the finalize are one request apiece to the session's owner
+// (the worker answers with the journal line the shadow keeps), and a move
+// off a healthy worker is two, an import on the ring owner, then a release
+// on the source (the shadow is what gets imported). A session routed to a
+// dead worker is placed with the import alone: neither a forward's
+// recovery nor a join's reconcile sends the dead worker anything.
 func TestPlaneWorkerRequestCounts(t *testing.T) {
 	ct := &countingTransport{}
 	p := New(Config{Client: &http.Client{Transport: ct}})
 	h := p.Handler()
-	for i := 1; i <= 2; i++ {
+	servers := make(map[string]*httptest.Server)
+	register := func(name string) {
+		t.Helper()
+		servers[name] = newWorker(t)
 		mustDo(t, h, http.MethodPost, "/control/v1/workers",
-			RegisterWorkerRequest{Name: fmt.Sprintf("w-%d", i), URL: newWorker(t).URL}, http.StatusCreated, nil)
+			RegisterWorkerRequest{Name: name, URL: servers[name].URL}, http.StatusCreated, nil)
 	}
+	host := func(name string) string { return strings.TrimPrefix(servers[name].URL, "http://") }
+	register("w-1")
+	register("w-2")
 	ct.take()
 	expect := func(op string, want ...string) {
 		t.Helper()
@@ -609,30 +686,106 @@ func TestPlaneWorkerRequestCounts(t *testing.T) {
 			t.Errorf("%s: worker requests %q, want %q", op, got, want)
 		}
 	}
+	// owners maps each session to its owner on a ring of the given members.
+	owners := func(ids []string, members ...string) map[string]string {
+		t.Helper()
+		r := ring.New()
+		for _, m := range members {
+			if err := r.Add(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := make(map[string]string)
+		for _, id := range ids {
+			m[id], _ = r.Owner(id)
+		}
+		return m
+	}
 	jobs := testTrace(t, 3, 17)
-	ids := make([]string, 6)
+	ids := make([]string, 6) // s-1..s-6: creation order is session-ID order
 	for i := range ids {
 		ids[i] = createSession(t, p, serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"})
-		expect("create", "POST /v1/sessions")
+		owner := host(ownerOf(t, p, ids[i]))
+		expect("create", "POST "+owner+"/v1/sessions")
 		path := "/v1/sessions/" + ids[i] + "/jobs"
 		mustDo(t, h, http.MethodPost, path, submitReq(jobs[0]), http.StatusOK, nil)
-		expect("submit", "POST "+path)
+		expect("submit", "POST "+owner+path)
 	}
 	path := "/v1/sessions/" + ids[0] + "/finalize"
 	mustDo(t, h, http.MethodPost, path, nil, http.StatusOK, nil)
-	expect("finalize", "POST "+path)
+	expect("finalize", "POST "+host(ownerOf(t, p, ids[0]))+path)
 
 	victim := ownerOf(t, p, ids[0])
-	want := []string{"POST /worker/v1/drain"}
+	keeper := map[string]string{"w-1": "w-2", "w-2": "w-1"}[victim]
+	want := []string{"POST " + host(victim) + "/worker/v1/drain"}
 	for _, id := range ids { // the drain moves sessions in ID order
 		if ownerOf(t, p, id) == victim {
-			want = append(want, "POST /worker/v1/sessions/import", "POST /worker/v1/sessions/"+id+"/release")
+			want = append(want, "POST "+host(keeper)+"/worker/v1/sessions/import", "POST "+host(victim)+"/worker/v1/sessions/"+id+"/release")
 		}
 	}
 	if err := p.DrainWorker(victim); err != nil {
 		t.Fatal(err)
 	}
 	expect("drain", want...)
+
+	// A join moves to the joiner the sessions the ring now hands it.
+	register("w-3")
+	owner := owners(ids, keeper, "w-3")
+	want = nil
+	var onW3 []string
+	for _, id := range ids {
+		if owner[id] == "w-3" {
+			onW3 = append(onW3, id)
+			want = append(want, "POST "+host("w-3")+"/worker/v1/sessions/import", "POST "+host(keeper)+"/worker/v1/sessions/"+id+"/release")
+		}
+	}
+	expect("join of w-3", want...)
+	if len(onW3) < 2 {
+		t.Fatalf("the join moved %v to w-3; the test needs two sessions there", onW3)
+	}
+
+	// w-3 dies. One forward finds it unreachable, marks it dead and
+	// recovers that one session onto the keeper; the others stay routed
+	// to the dead worker.
+	servers["w-3"].Close()
+	path = "/v1/sessions/" + onW3[0] + "/report"
+	mustDo(t, h, http.MethodGet, path, nil, http.StatusOK, nil)
+	expect("forward to the dead w-3", "GET "+host("w-3")+path,
+		"POST "+host(keeper)+"/worker/v1/sessions/import", "GET "+host(keeper)+path)
+
+	// A join then places every session left on the dead worker with an
+	// import alone, and moves off the keeper what the joiner now owns.
+	recovered, migrated := recoveries.Value(), migrations.Value()
+	dead := make(map[string]bool)
+	for _, id := range onW3[1:] {
+		dead[id] = true
+	}
+	register("w-4")
+	owner = owners(ids, keeper, "w-4")
+	want = nil
+	var wantRecovered, wantMigrated int64
+	for _, id := range ids {
+		switch {
+		case dead[id]:
+			want = append(want, "POST "+host(owner[id])+"/worker/v1/sessions/import")
+			wantRecovered++
+		case owner[id] == "w-4":
+			want = append(want, "POST "+host("w-4")+"/worker/v1/sessions/import", "POST "+host(keeper)+"/worker/v1/sessions/"+id+"/release")
+			wantMigrated++
+		}
+	}
+	expect("join of w-4 with w-3 dead", want...)
+	if got := recoveries.Value() - recovered; got != wantRecovered {
+		t.Errorf("the join counted %d recoveries, want %d", got, wantRecovered)
+	}
+	if got := migrations.Value() - migrated; got != wantMigrated {
+		t.Errorf("the join counted %d migrations, want %d", got, wantMigrated)
+	}
+	for _, id := range ids {
+		if got := ownerOf(t, p, id); got != owner[id] {
+			t.Errorf("session %s routed to %s after the join, want its ring owner %s", id, got, owner[id])
+		}
+	}
 }
 
 // A worker's success the shadow cannot record is never passed on. A

@@ -1,44 +1,14 @@
 package control
 
-import (
-	"expvar"
-	"sync"
-)
+import "expvar"
 
-// counters are the process-wide expvar gauges the control plane serves
-// under /debug/vars:
-//
-//	control.sessions_created    sessions placed across the fleet
-//	control.jobs_forwarded      job submissions forwarded to workers
-//	control.migrations          planned session moves (drain, rebalance)
-//	control.recoveries          sessions rebuilt from shadow journals after a crash
-//	control.workers_registered  worker registrations over the process lifetime
-type counters struct {
-	sessionsCreated   *expvar.Int
-	jobsForwarded     *expvar.Int
-	migrations        *expvar.Int
-	recoveries        *expvar.Int
-	workersRegistered *expvar.Int
-}
-
+// The process-wide expvar counters the control plane serves under
+// /debug/vars. expvar registration is global and permanent, so every Plane
+// in a process (tests included) shares them.
 var (
-	varsOnce sync.Once
-	vars     *counters
+	sessionsCreated   = expvar.NewInt("control.sessions_created")   // sessions placed across the fleet
+	jobsForwarded     = expvar.NewInt("control.jobs_forwarded")     // job submissions forwarded to workers
+	migrations        = expvar.NewInt("control.migrations")         // placements that released a healthy source (drain, join, deregistration)
+	recoveries        = expvar.NewInt("control.recoveries")         // placements from the shadow alone: the source is dead, deregistered, or the destination itself
+	workersRegistered = expvar.NewInt("control.workers_registered") // worker registrations over the process lifetime
 )
-
-// publishVars returns the process-wide counters, publishing the expvar
-// variables on first call. expvar registration is global and permanent,
-// hence the singleton — every Plane in a process (tests included) shares
-// them.
-func publishVars() *counters {
-	varsOnce.Do(func() {
-		vars = &counters{
-			sessionsCreated:   expvar.NewInt("control.sessions_created"),
-			jobsForwarded:     expvar.NewInt("control.jobs_forwarded"),
-			migrations:        expvar.NewInt("control.migrations"),
-			recoveries:        expvar.NewInt("control.recoveries"),
-			workersRegistered: expvar.NewInt("control.workers_registered"),
-		}
-	})
-	return vars
-}

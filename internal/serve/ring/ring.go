@@ -6,11 +6,11 @@ import (
 	"strconv"
 )
 
-// DefaultReplicas is the virtual-node count per member. 128 points per
-// worker keeps the 8-worker / 1k-session distribution within ±35% of the
-// mean (pinned by the distribution test) while membership changes stay
+// replicas is the virtual-node count per member. 128 points per worker
+// keeps the 8-worker / 1k-session distribution within ±35% of the mean
+// (pinned by the distribution test) while membership changes stay
 // O(replicas · log points).
-const DefaultReplicas = 128
+const replicas = 128
 
 // point is one virtual node: a position on the 64-bit hash circle owned by
 // a member.
@@ -28,18 +28,13 @@ type point struct {
 // Ring is not safe for concurrent use; the control plane guards it with
 // its registry mutex.
 type Ring struct {
-	replicas int
-	points   []point // sorted by (hash, member)
-	members  map[string]bool
+	points  []point // sorted by (hash, member)
+	members map[string]bool
 }
 
-// New builds an empty ring with the given virtual-node count per member
-// (DefaultReplicas when <= 0).
-func New(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, members: make(map[string]bool)}
+// New builds an empty ring.
+func New() *Ring {
+	return &Ring{members: make(map[string]bool)}
 }
 
 // fnv1a is the 64-bit FNV-1a hash of s, passed through a splitmix64-style
@@ -84,7 +79,7 @@ func (r *Ring) Add(member string) error {
 		return fmt.Errorf("ring: member %q already present", member)
 	}
 	r.members[member] = true
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		r.points = append(r.points, point{pointHash(member, i), member})
 	}
 	sort.Slice(r.points, func(i, j int) bool {

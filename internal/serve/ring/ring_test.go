@@ -22,9 +22,9 @@ func workers(n int) []string {
 }
 
 // build returns a ring populated with the given members.
-func build(t *testing.T, replicas int, members []string) *Ring {
+func build(t *testing.T, members []string) *Ring {
 	t.Helper()
-	r := New(replicas)
+	r := New()
 	for _, m := range members {
 		if err := r.Add(m); err != nil {
 			t.Fatal(err)
@@ -57,11 +57,11 @@ func owners(t *testing.T, r *Ring, keys []string) map[string]string {
 }
 
 // 1k sessions over 8 workers land within ±35% of the per-worker mean at
-// the default replica count — the load-spread bound the control plane
+// 128 virtual nodes per member — the load-spread bound the control plane
 // relies on when it places sessions by ring owner alone.
 func TestRingDistributionBound(t *testing.T) {
 	ws := workers(8)
-	r := build(t, DefaultReplicas, ws)
+	r := build(t, ws)
 	ids := sessionIDs(1000)
 	counts := make(map[string]int)
 	for _, id := range ids {
@@ -86,7 +86,7 @@ func TestRingDistributionBound(t *testing.T) {
 // it restores the previous assignment exactly.
 func TestRingMinimalMovement(t *testing.T) {
 	ids := sessionIDs(1000)
-	r := build(t, DefaultReplicas, workers(8))
+	r := build(t, workers(8))
 	before := owners(t, r, ids)
 
 	if err := r.Add("w-9"); err != nil {
@@ -124,7 +124,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // refactors: FNV-1a is computed in-package, so these bytes may only change
 // with a deliberate hash change (regenerate with -update).
 func TestRingGoldenAssignments(t *testing.T) {
-	r := build(t, DefaultReplicas, workers(4))
+	r := build(t, workers(4))
 	var buf bytes.Buffer
 	for _, id := range sessionIDs(32) {
 		o, _ := r.Owner(id)
@@ -151,7 +151,7 @@ func TestRingGoldenAssignments(t *testing.T) {
 // Membership bookkeeping: duplicate adds and absent removes are refused,
 // Owner on an empty ring reports no owner, and Members sorts.
 func TestRingMembership(t *testing.T) {
-	r := New(0)
+	r := New()
 	if _, ok := r.Owner("s-1"); ok {
 		t.Error("empty ring claimed an owner")
 	}

@@ -74,7 +74,6 @@ type Server struct {
 	cfg      Config
 	store    *store
 	sem      chan struct{}
-	vars     *counters
 	mux      *http.ServeMux
 	stream   *streamrisk.Engine
 	draining atomic.Bool
@@ -87,7 +86,6 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		store:  newStore(cfg.MaxSessions, cfg.Now),
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
-		vars:   publishVars(),
 		mux:    http.NewServeMux(),
 		stream: streamrisk.NewEngine(streamrisk.Config{Window: cfg.RiskWindow, MaxSubscribers: cfg.MaxRiskSubscribers}),
 	}
@@ -126,7 +124,7 @@ func (s *Server) Sessions() int { return s.store.size() }
 // the evicted IDs.
 func (s *Server) SweepIdle() []string {
 	evicted := s.store.sweepIdle(s.cfg.IdleTimeout)
-	s.vars.sessionsEvicted.Add(int64(len(evicted)))
+	sessionsEvicted.Add(int64(len(evicted)))
 	for _, id := range evicted {
 		s.stream.ForgetSession(id)
 	}
@@ -157,7 +155,7 @@ func (s *Server) limited(h http.HandlerFunc) http.Handler {
 			defer func() { <-s.sem }()
 			h(w, r)
 		default:
-			s.vars.requestsShed.Add(1)
+			requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
 			WriteError(w, http.StatusServiceUnavailable, "server at its concurrency limit; retry shortly")
 		}
@@ -256,7 +254,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if err := s.store.insert(sess); err != nil {
 		switch {
 		case errors.Is(err, errFull):
-			s.vars.requestsShed.Add(1)
+			requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
 			WriteError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
 		case errors.Is(err, errExists):
@@ -266,7 +264,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.vars.sessionsCreated.Add(1)
+	sessionsCreated.Add(1)
 	w.Header().Set(JournalLineHeader, string(bytes.TrimSuffix(journal.Bytes(), []byte("\n"))))
 	WriteJSON(w, http.StatusCreated, CreateSessionResponse{
 		ID: sess.id, Policy: header.Policy, Model: header.Model,
@@ -309,7 +307,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set(JournalLineHeader, string(line))
-	s.vars.jobsSubmitted.Add(1)
+	jobsSubmitted.Add(1)
 	WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -442,7 +440,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	resp := s.reportResponse(sess, rep)
 	sess.mu.Unlock()
 	if s.store.remove(sess.id) {
-		s.vars.sessionsEvicted.Add(1)
+		sessionsEvicted.Add(1)
 		s.stream.ForgetSession(sess.id)
 	}
 	WriteJSON(w, http.StatusOK, resp)
@@ -466,7 +464,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, errFull):
-			s.vars.requestsShed.Add(1)
+			requestsShed.Add(1)
 			w.Header().Set("Retry-After", "1")
 			WriteError(w, http.StatusServiceUnavailable, "session registry full (%d live)", s.cfg.MaxSessions)
 		case errors.Is(err, errExists):
@@ -476,7 +474,7 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.vars.sessionsImported.Add(1)
+	sessionsImported.Add(1)
 	WriteJSON(w, http.StatusCreated, ImportSessionResponse{ID: id})
 }
 
@@ -505,7 +503,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusNotFound, "session %q already gone", sess.id)
 		return
 	}
-	s.vars.sessionsReleased.Add(1)
+	sessionsReleased.Add(1)
 	s.stream.ForgetSession(sess.id)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Write(journal) //lint:allow errignore — headers are sent; nothing useful can follow a mid-body failure

@@ -1,47 +1,15 @@
 package serve
 
-import (
-	"expvar"
-	"sync"
-)
+import "expvar"
 
-// counters are the process-wide expvar gauges the daemon serves under
-// /debug/vars:
-//
-//	serve.sessions_created   sessions created over the process lifetime
-//	serve.sessions_evicted   sessions removed (DELETE or idle sweep)
-//	serve.sessions_imported  sessions rebuilt by journal replay (migration in)
-//	serve.sessions_released  sessions handed off for migration (migration out)
-//	serve.jobs_submitted     jobs accepted into a session's trace
-//	serve.requests_rejected  requests shed by the concurrency or capacity limit
-type counters struct {
-	sessionsCreated  *expvar.Int
-	sessionsEvicted  *expvar.Int
-	sessionsImported *expvar.Int
-	sessionsReleased *expvar.Int
-	jobsSubmitted    *expvar.Int
-	requestsShed     *expvar.Int
-}
-
+// The process-wide expvar counters the daemon serves under /debug/vars.
+// expvar registration is global and permanent, so every Server in a
+// process (tests included) shares them.
 var (
-	varsOnce sync.Once
-	vars     *counters
+	sessionsCreated  = expvar.NewInt("serve.sessions_created")  // sessions created over the process lifetime
+	sessionsEvicted  = expvar.NewInt("serve.sessions_evicted")  // sessions removed (DELETE or idle sweep)
+	sessionsImported = expvar.NewInt("serve.sessions_imported") // sessions rebuilt by journal replay (migration in)
+	sessionsReleased = expvar.NewInt("serve.sessions_released") // sessions handed off for migration (migration out)
+	jobsSubmitted    = expvar.NewInt("serve.jobs_submitted")    // jobs accepted into a session's trace
+	requestsShed     = expvar.NewInt("serve.requests_rejected") // requests shed by the concurrency or capacity limit
 )
-
-// publishVars returns the process-wide counters, publishing the expvar
-// variables on first call. expvar registration is global and permanent,
-// hence the singleton — every Server in a process (tests included) shares
-// them.
-func publishVars() *counters {
-	varsOnce.Do(func() {
-		vars = &counters{
-			sessionsCreated:  expvar.NewInt("serve.sessions_created"),
-			sessionsEvicted:  expvar.NewInt("serve.sessions_evicted"),
-			sessionsImported: expvar.NewInt("serve.sessions_imported"),
-			sessionsReleased: expvar.NewInt("serve.sessions_released"),
-			jobsSubmitted:    expvar.NewInt("serve.jobs_submitted"),
-			requestsShed:     expvar.NewInt("serve.requests_rejected"),
-		}
-	})
-	return vars
-}
