@@ -70,13 +70,13 @@ cover:
 # pre-fault-injection baseline; the federation meta-broker routes every
 # federated job and must stay >= 90%; the analyzer suite guards every
 # other invariant and must itself stay well-covered; the service plane
-# (worker API, control plane, placement ring, load generator) carries the
+# (worker API, control plane with its placement, load generator) carries the
 # migration determinism contract and floors at 85%; the streaming risk
 # engine carries the live-vs-offline bit-identity contract and floors at
 # 90%; the scheduler holds every admission policy and floors at 90%.
 cover-check:
 	@$(GO) test -cover ./internal/faults ./internal/cluster ./internal/broker ./internal/lint \
-		./internal/serve ./internal/serve/control ./internal/serve/ring ./internal/load \
+		./internal/serve ./internal/serve/control ./internal/load \
 		./internal/streamrisk ./internal/scheduler | awk ' \
 		{ print } \
 		$$2 ~ /internal\/faults$$/        && $$5+0 < 90 { print "FAIL: internal/faults coverage " $$5 " below 90% floor"; bad=1 } \
@@ -85,7 +85,6 @@ cover-check:
 		$$2 ~ /internal\/lint$$/          && $$5+0 < 85 { print "FAIL: internal/lint coverage " $$5 " below 85% floor"; bad=1 } \
 		$$2 ~ /internal\/serve$$/         && $$5+0 < 85 { print "FAIL: internal/serve coverage " $$5 " below 85% floor"; bad=1 } \
 		$$2 ~ /internal\/serve\/control$$/ && $$5+0 < 85 { print "FAIL: internal/serve/control coverage " $$5 " below 85% floor"; bad=1 } \
-		$$2 ~ /internal\/serve\/ring$$/   && $$5+0 < 85 { print "FAIL: internal/serve/ring coverage " $$5 " below 85% floor"; bad=1 } \
 		$$2 ~ /internal\/load$$/          && $$5+0 < 85 { print "FAIL: internal/load coverage " $$5 " below 85% floor"; bad=1 } \
 		$$2 ~ /internal\/streamrisk$$/    && $$5+0 < 90 { print "FAIL: internal/streamrisk coverage " $$5 " below 90% floor"; bad=1 } \
 		$$2 ~ /internal\/scheduler$$/     && $$5+0 < 90 { print "FAIL: internal/scheduler coverage " $$5 " below 90% floor"; bad=1 } \

@@ -28,7 +28,7 @@ func TestRunFlagsGoldenFixtures(t *testing.T) {
 			code, stdout.String(), stderr.String())
 	}
 	for _, rule := range []string{"wallclock", "globalrand", "maporder", "floateq", "errignore",
-		"hotalloc", "lockflow", "journalfmt", "deadcode", "directive"} {
+		"hotalloc", "lockflow", "deadcode", "directive"} {
 		if !strings.Contains(stdout.String(), ": "+rule+": ") {
 			t.Errorf("no %s finding in driver output", rule)
 		}
@@ -50,7 +50,6 @@ func TestRunPerAnalyzerExitCode(t *testing.T) {
 		"directive":  "./directive",
 		"hotalloc":   "./hotalloc",
 		"lockflow":   "./internal/serve",
-		"journalfmt": "./internal/obs",
 		"deadcode":   "./internal/deadcode",
 	}
 	for rule, pattern := range cases {
@@ -74,7 +73,7 @@ func TestRulesFlag(t *testing.T) {
 		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
 	}
 	for _, rule := range []string{"wallclock", "globalrand", "maporder", "floateq", "errignore",
-		"hotalloc", "lockflow", "journalfmt", "deadcode"} {
+		"hotalloc", "lockflow", "deadcode"} {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Errorf("catalog missing %s:\n%s", rule, stdout.String())
 		}

@@ -2,7 +2,7 @@
 // process that owns session placement and exposes the same client API as
 // a single worker, so clients never learn the topology.
 //
-//	POST   /v1/sessions                  create a session (placed by consistent hashing)
+//	POST   /v1/sessions                  create a session (placed by rendezvous placement)
 //	POST   /v1/sessions/{id}/jobs        forward to the owning worker
 //	GET    /v1/sessions/{id}/report      forward to the owning worker
 //	GET    /v1/sessions/{id}/journal     forward to the owning worker

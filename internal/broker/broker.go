@@ -17,9 +17,6 @@ import (
 type RunConfig struct {
 	// Model is the economic model shared by every cluster.
 	Model economy.Model
-	// BasePrice is the reference PBase; each cluster charges
-	// BasePrice × its PriceFactor. Zero means the paper default.
-	BasePrice float64
 	// Faults optionally gives each cluster its own failure process,
 	// aligned with Federation.Clusters (nil entries disable injection for
 	// that cluster). Nil means no faults anywhere. The caller derives each
@@ -97,10 +94,6 @@ func New(fed Federation, factory scheduler.Factory, cfg RunConfig) (*Broker, err
 	if cfg.Faults != nil && len(cfg.Faults) != len(fed.Clusters) {
 		return nil, fmt.Errorf("broker: %d fault configs for %d clusters", len(cfg.Faults), len(fed.Clusters))
 	}
-	base := cfg.BasePrice
-	if base == 0 {
-		base = economy.DefaultBasePrice
-	}
 	b := &Broker{
 		fed:      fed,
 		sessions: make([]*scheduler.Session, len(fed.Clusters)),
@@ -112,7 +105,7 @@ func New(fed Federation, factory scheduler.Factory, cfg RunConfig) (*Broker, err
 		rc := scheduler.RunConfig{
 			Nodes:     cs.Nodes,
 			Model:     cfg.Model,
-			BasePrice: base * cs.priceFactor(),
+			BasePrice: economy.DefaultBasePrice * cs.priceFactor(),
 			FaultMemo: cfg.FaultMemo,
 		}
 		// A neutral speed keeps NodeRatings nil so the cluster takes the
@@ -339,22 +332,9 @@ func Run(jobs []*workload.Job, fed Federation, factory scheduler.Factory, cfg Ru
 	if err := fed.Validate(); err != nil {
 		return nil, err
 	}
-	maxNodes := fed.MaxNodes()
-	prev := -1.0
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, err
-		}
-		if !j.HasQoS() {
-			return nil, fmt.Errorf("broker: job %d has no QoS parameters", j.ID)
-		}
-		if j.Submit < prev {
-			return nil, fmt.Errorf("broker: job %d out of submission order", j.ID)
-		}
-		prev = j.Submit
-		if j.Procs > maxNodes {
-			return nil, fmt.Errorf("broker: job %d wider (%d) than every cluster (max %d)", j.ID, j.Procs, maxNodes)
-		}
+	// A job fits the federation if it fits its widest cluster.
+	if err := scheduler.CheckTrace(jobs, fed.MaxNodes()); err != nil {
+		return nil, err
 	}
 	b, err := New(fed, factory, cfg)
 	if err != nil {

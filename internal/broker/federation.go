@@ -17,9 +17,9 @@ type ClusterSpec struct {
 	// Speed scales every node's rating: 2 runs jobs twice as fast as the
 	// reference machine. Zero means the neutral 1.
 	Speed float64
-	// PriceFactor scales the cluster's base price (and thereby the Libra
-	// family's pricing functions, which build on it). Zero means the
-	// neutral 1.
+	// PriceFactor scales the paper's base price, economy.DefaultBasePrice,
+	// for this cluster (and thereby the Libra family's pricing functions,
+	// which build on it). Zero means the neutral 1.
 	PriceFactor float64
 	// FaultIntensity optionally pins this cluster's failure scenario.
 	// Empty inherits the run's federation-wide intensity, so a preset can

@@ -64,7 +64,6 @@ func All() []*Analyzer {
 		floateqAnalyzer,
 		globalrandAnalyzer,
 		hotallocAnalyzer,
-		journalfmtAnalyzer,
 		lockflowAnalyzer,
 		maporderAnalyzer,
 		wallclockAnalyzer,

@@ -17,7 +17,6 @@ import (
 func main() {
 	deadcode.Live()
 	_ = []any{
-		obs.FormatMap, obs.FormatFloat, obs.FormatFixed, obs.FormatDebug,
 		obs.Drop, obs.Kept, obs.Best,
 		detutil.Stamp, detutil.Draw, detutil.StampAllowed,
 		serve.Leaks, serve.ReturnsWhileHeld, serve.SendsUnderShard, serve.WritesUnderShard,

@@ -2,51 +2,20 @@ package risk
 
 import "fmt"
 
-// criterion is one comparison step of the paper's ranking procedures.
-type criterion struct {
-	name string
-	// cmp returns <0 if a ranks better, >0 if b does, 0 to continue.
-	cmp func(a, b Ranked) int
-}
-
-func performanceCriteria() []criterion {
-	return []criterion{
-		{"maximum performance", func(a, b Ranked) int { return cmp(b.MaxPerformance, a.MaxPerformance) }},
-		{"minimum volatility", func(a, b Ranked) int { return cmp(a.MinVolatility, b.MinVolatility) }},
-		{"performance difference", func(a, b Ranked) int { return cmp(a.PerformanceDifference, b.PerformanceDifference) }},
-		{"volatility difference", func(a, b Ranked) int { return cmp(a.VolatilityDifference, b.VolatilityDifference) }},
-		{"trend-line gradient", func(a, b Ranked) int { return gradientPreference(a.Gradient) - gradientPreference(b.Gradient) }},
-		{"point concentration", func(a, b Ranked) int { return cmp(a.Concentration, b.Concentration) }},
-	}
-}
-
-func volatilityCriteria() []criterion {
-	return []criterion{
-		{"minimum volatility", func(a, b Ranked) int { return cmp(a.MinVolatility, b.MinVolatility) }},
-		{"maximum performance", func(a, b Ranked) int { return cmp(b.MaxPerformance, a.MaxPerformance) }},
-		{"volatility difference", func(a, b Ranked) int { return cmp(a.VolatilityDifference, b.VolatilityDifference) }},
-		{"performance difference", func(a, b Ranked) int { return cmp(a.PerformanceDifference, b.PerformanceDifference) }},
-		{"trend-line gradient", func(a, b Ranked) int { return gradientPreference(a.Gradient) - gradientPreference(b.Gradient) }},
-		{"point concentration", func(a, b Ranked) int { return cmp(a.Concentration, b.Concentration) }},
-	}
-}
-
 // Explain states which criterion of the given ranking procedure decides
 // the order between two ranked policies — the sentence a report prints
 // next to a Table III/IV row ("C precedes D on point concentration").
 // byVolatility selects Table IV's criteria order; otherwise Table III's.
 func Explain(a, b Ranked, byVolatility bool) string {
-	criteria := performanceCriteria()
+	criteria := performanceCriteria
 	if byVolatility {
-		criteria = volatilityCriteria()
+		criteria = volatilityCriteria
 	}
-	for _, c := range criteria {
-		switch v := c.cmp(a, b); {
-		case v < 0:
-			return fmt.Sprintf("%s precedes %s on %s", a.Series.Policy, b.Series.Policy, c.name)
-		case v > 0:
-			return fmt.Sprintf("%s precedes %s on %s", b.Series.Policy, a.Series.Policy, c.name)
-		}
+	switch name, v := decide(criteria, a, b); {
+	case v < 0:
+		return fmt.Sprintf("%s precedes %s on %s", a.Series.Policy, b.Series.Policy, name)
+	case v > 0:
+		return fmt.Sprintf("%s precedes %s on %s", b.Series.Policy, a.Series.Policy, name)
 	}
 	return fmt.Sprintf("%s and %s tie on every criterion", a.Series.Policy, b.Series.Policy)
 }

@@ -75,75 +75,75 @@ func cmp(a, b float64) int {
 	}
 }
 
-// RankByPerformance ranks policies for best performance (Table III):
-// (i) maximum performance (higher first), (ii) minimum volatility (lower
-// first), (iii) performance difference (lower first), (iv) volatility
-// difference (lower first), (v) gradient preference, then point
-// concentration and finally name for stability.
-func RankByPerformance(series []Series) ([]Ranked, error) {
-	ranked, err := buildRanked(series)
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		if c := cmp(b.MaxPerformance, a.MaxPerformance); c != 0 {
-			return c < 0
-		}
-		if c := cmp(a.MinVolatility, b.MinVolatility); c != 0 {
-			return c < 0
-		}
-		if c := cmp(a.PerformanceDifference, b.PerformanceDifference); c != 0 {
-			return c < 0
-		}
-		if c := cmp(a.VolatilityDifference, b.VolatilityDifference); c != 0 {
-			return c < 0
-		}
-		if ga, gb := gradientPreference(a.Gradient), gradientPreference(b.Gradient); ga != gb {
-			return ga < gb
-		}
-		if c := cmp(a.Concentration, b.Concentration); c != 0 {
-			return c < 0
-		}
-		return a.Series.Policy < b.Series.Policy
-	})
-	for i := range ranked {
-		ranked[i].Rank = i + 1
-	}
-	return ranked, nil
+// criterion is one comparison step of the paper's ranking procedures.
+type criterion struct {
+	name string
+	// cmp returns <0 if a ranks better, >0 if b does, 0 to continue.
+	cmp func(a, b Ranked) int
 }
 
-// RankByVolatility ranks policies for best volatility (Table IV):
-// (i) minimum volatility (lower first), (ii) maximum performance (higher
-// first), (iii) volatility difference (lower first), (iv) performance
-// difference (lower first), (v) gradient preference, then concentration
-// and name.
+// performanceCriteria is Table III's order: (i) maximum performance
+// (higher first), (ii) minimum volatility (lower first), (iii)
+// performance difference (lower first), (iv) volatility difference (lower
+// first), (v) gradient preference, then point concentration.
+var performanceCriteria = []criterion{
+	{"maximum performance", func(a, b Ranked) int { return cmp(b.MaxPerformance, a.MaxPerformance) }},
+	{"minimum volatility", func(a, b Ranked) int { return cmp(a.MinVolatility, b.MinVolatility) }},
+	{"performance difference", func(a, b Ranked) int { return cmp(a.PerformanceDifference, b.PerformanceDifference) }},
+	{"volatility difference", func(a, b Ranked) int { return cmp(a.VolatilityDifference, b.VolatilityDifference) }},
+	{"trend-line gradient", func(a, b Ranked) int { return gradientPreference(a.Gradient) - gradientPreference(b.Gradient) }},
+	{"point concentration", func(a, b Ranked) int { return cmp(a.Concentration, b.Concentration) }},
+}
+
+// volatilityCriteria is Table IV's order: (i) minimum volatility (lower
+// first), (ii) maximum performance (higher first), (iii) volatility
+// difference (lower first), (iv) performance difference (lower first),
+// (v) gradient preference, then point concentration.
+var volatilityCriteria = []criterion{
+	{"minimum volatility", func(a, b Ranked) int { return cmp(a.MinVolatility, b.MinVolatility) }},
+	{"maximum performance", func(a, b Ranked) int { return cmp(b.MaxPerformance, a.MaxPerformance) }},
+	{"volatility difference", func(a, b Ranked) int { return cmp(a.VolatilityDifference, b.VolatilityDifference) }},
+	{"performance difference", func(a, b Ranked) int { return cmp(a.PerformanceDifference, b.PerformanceDifference) }},
+	{"trend-line gradient", func(a, b Ranked) int { return gradientPreference(a.Gradient) - gradientPreference(b.Gradient) }},
+	{"point concentration", func(a, b Ranked) int { return cmp(a.Concentration, b.Concentration) }},
+}
+
+// decide returns the first criterion that orders a and b, with its
+// verdict (<0 if a ranks better, >0 if b does); the verdict is 0 when
+// they tie on every criterion.
+func decide(criteria []criterion, a, b Ranked) (name string, verdict int) {
+	for _, c := range criteria {
+		if v := c.cmp(a, b); v != 0 {
+			return c.name, v
+		}
+	}
+	return "", 0
+}
+
+// RankByPerformance ranks policies for best performance (Table III): by
+// performanceCriteria, then by policy name for stability.
+func RankByPerformance(series []Series) ([]Ranked, error) {
+	return rankBy(series, performanceCriteria)
+}
+
+// RankByVolatility ranks policies for best volatility (Table IV): by
+// volatilityCriteria, then by policy name for stability.
 func RankByVolatility(series []Series) ([]Ranked, error) {
+	return rankBy(series, volatilityCriteria)
+}
+
+// rankBy sorts the series' ranked summaries by the criteria in turn, then
+// by policy name, and numbers the ranks from 1.
+func rankBy(series []Series, criteria []criterion) ([]Ranked, error) {
 	ranked, err := buildRanked(series)
 	if err != nil {
 		return nil, err
 	}
 	sort.SliceStable(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		if c := cmp(a.MinVolatility, b.MinVolatility); c != 0 {
-			return c < 0
+		if _, v := decide(criteria, ranked[i], ranked[j]); v != 0 {
+			return v < 0
 		}
-		if c := cmp(b.MaxPerformance, a.MaxPerformance); c != 0 {
-			return c < 0
-		}
-		if c := cmp(a.VolatilityDifference, b.VolatilityDifference); c != 0 {
-			return c < 0
-		}
-		if c := cmp(a.PerformanceDifference, b.PerformanceDifference); c != 0 {
-			return c < 0
-		}
-		if ga, gb := gradientPreference(a.Gradient), gradientPreference(b.Gradient); ga != gb {
-			return ga < gb
-		}
-		if c := cmp(a.Concentration, b.Concentration); c != 0 {
-			return c < 0
-		}
-		return a.Series.Policy < b.Series.Policy
+		return ranked[i].Series.Policy < ranked[j].Series.Policy
 	})
 	for i := range ranked {
 		ranked[i].Rank = i + 1

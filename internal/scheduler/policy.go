@@ -222,6 +222,40 @@ func (cfg RunConfig) validate() error {
 	return nil
 }
 
+// CheckTrace checks a whole trace, in order, the way each submission is
+// checked (see checkJob), for a machine of nodes processors. The batch
+// entry points, Run and broker.Run, call it first, so nothing is
+// simulated on invalid input.
+func CheckTrace(jobs []*workload.Job, nodes int) error {
+	prev := -1.0
+	for _, j := range jobs {
+		if err := checkJob(j, prev, nodes); err != nil {
+			return err
+		}
+		prev = j.Submit
+	}
+	return nil
+}
+
+// checkJob is the check every submission passes: the job is valid,
+// carries QoS parameters, arrives no earlier than after, and is no wider
+// than a machine of nodes processors.
+func checkJob(j *workload.Job, after float64, nodes int) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if !j.HasQoS() {
+		return fmt.Errorf("scheduler: job %d has no QoS parameters", j.ID)
+	}
+	if j.Submit < after {
+		return fmt.Errorf("scheduler: job %d out of submission order", j.ID)
+	}
+	if j.Procs > nodes {
+		return fmt.Errorf("scheduler: job %d wider (%d) than the machine (%d)", j.ID, j.Procs, nodes)
+	}
+	return nil
+}
+
 // Run simulates the full workload under the policy built by factory and
 // returns the objective report. Jobs must be sorted by submission time and
 // carry QoS parameters. It is the batch entry point over the step-driven
@@ -233,21 +267,8 @@ func Run(jobs []*workload.Job, factory Factory, cfg RunConfig) (metrics.Report, 
 	if err := cfg.validate(); err != nil {
 		return metrics.Report{}, err
 	}
-	prev := -1.0
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return metrics.Report{}, err
-		}
-		if !j.HasQoS() {
-			return metrics.Report{}, fmt.Errorf("scheduler: job %d has no QoS parameters", j.ID)
-		}
-		if j.Submit < prev {
-			return metrics.Report{}, fmt.Errorf("scheduler: job %d out of submission order", j.ID)
-		}
-		prev = j.Submit
-		if j.Procs > cfg.Nodes {
-			return metrics.Report{}, fmt.Errorf("scheduler: job %d wider (%d) than the machine (%d)", j.ID, j.Procs, cfg.Nodes)
-		}
+	if err := CheckTrace(jobs, cfg.Nodes); err != nil {
+		return metrics.Report{}, err
 	}
 	s, err := NewSession(factory, cfg)
 	if err != nil {

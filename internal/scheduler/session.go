@@ -211,17 +211,8 @@ func (s *Session) SubmitQuoteless(j *workload.Job) (Admission, error) {
 	if s.finalized {
 		return AdmissionPending, fmt.Errorf("scheduler: job %d submitted to a finalized session", j.ID)
 	}
-	if err := j.Validate(); err != nil {
+	if err := checkJob(j, s.lastSubmit, s.ctx.Nodes); err != nil {
 		return AdmissionPending, err
-	}
-	if !j.HasQoS() {
-		return AdmissionPending, fmt.Errorf("scheduler: job %d has no QoS parameters", j.ID)
-	}
-	if j.Submit < s.lastSubmit {
-		return AdmissionPending, fmt.Errorf("scheduler: job %d out of submission order", j.ID)
-	}
-	if j.Procs > s.ctx.Nodes {
-		return AdmissionPending, fmt.Errorf("scheduler: job %d wider (%d) than the machine (%d)", j.ID, j.Procs, s.ctx.Nodes)
 	}
 	s.lastSubmit = j.Submit
 	arrival := s.engine.MustScheduleClass(sim.Time(j.Submit), sim.ClassArrival, "submit job", func() {

@@ -3,7 +3,7 @@ package control
 import "net/http"
 
 // RegisterWorkerRequest announces a worker to the control plane. Name is
-// the worker's stable identity (its ring member key); URL is the base URL
+// the worker's stable identity (the key placement scores); URL is the base URL
 // the plane reaches it at.
 type RegisterWorkerRequest struct {
 	Name string `json:"name"`

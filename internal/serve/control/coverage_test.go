@@ -61,7 +61,7 @@ func TestPlaneRunProberLoop(t *testing.T) {
 	mustDo(t, p.Handler(), http.MethodGet, "/v1/sessions/"+id+"/report", nil, http.StatusOK, nil)
 }
 
-// Re-registration revives a dead worker deliberately: the ring takes it
+// Re-registration revives a dead worker deliberately: placement takes it
 // back and rebalancing rebuilds any sessions it now owns from shadows.
 func TestPlaneReRegistrationRevives(t *testing.T) {
 	p, workers := newFleet(t, 2)

@@ -3,12 +3,11 @@
 //
 // Clients speak the same /v1 session API to the control plane that they
 // would speak to a standalone worker. The plane assigns session IDs,
-// places each session on a worker via consistent hashing (see
-// internal/serve/ring), and forwards session-scoped requests to the
-// session's current owner. Worker membership is dynamic: workers register
-// and deregister over /control/v1, a drain moves every session off a
-// worker before it stops, and a health prober declares unresponsive
-// workers dead.
+// places each session on a worker by rendezvous placement over its worker
+// table, and forwards session-scoped requests to the session's current
+// owner. Worker membership is dynamic: workers register and deregister
+// over /control/v1, a drain moves every session off a worker before it
+// stops, and a health prober declares unresponsive workers dead.
 //
 // Sessions move between workers as journal bytes. The plane keeps a
 // shadow journal per session: the worker's own journal lines, kept
@@ -22,11 +21,13 @@
 //
 // One rule places every session:
 //
-//   - Every route lives on its ring owner. The ring holds exactly the
-//     workers that are healthy and not draining.
+//   - Every route lives on its owner: of the workers that are healthy and
+//     not draining, the one with the highest rendezvous score for the
+//     session ID (a hash of worker name and ID), the smaller name on a
+//     tie. The worker table is the only membership record.
 //   - Every membership change reconciles: a join, a drain, a
 //     deregistration and a death the prober declares each re-place, in
-//     session-ID order, every route that is not on its ring owner.
+//     session-ID order, every route that is not on its owner.
 //   - A placement imports the shadow on the destination first. A source
 //     the plane still considers healthy is then released (a migration); a
 //     dead or deregistered source is never contacted, nor is a source that
@@ -37,13 +38,14 @@
 // A forwarded request that finds its worker unreachable marks it dead, and
 // one that finds the session gone (a 404 from a restarted worker, an idle
 // eviction) is placed again; either way the request is retried once on
-// the ring owner. Marking a worker dead there does not reconcile: forward
+// the owner. Marking a worker dead there does not reconcile: forward
 // holds the session's route mutex, and reconcile takes every route's. The
-// dead worker's other sessions move on their own next request, or at the
-// next membership change.
+// dead worker's other sessions move on their own next request, or when the
+// prober declares the worker dead (it does so for a worker forward has
+// already marked), or at the next membership change.
 //
-// Lock discipline: plane.mu guards the worker registry, the ring, and the
-// route table, and is never held across worker I/O. Each route (one per
+// Lock discipline: plane.mu guards the worker registry and the route
+// table, and is never held across worker I/O. Each route (one per
 // session) has its own mutex serializing that session's forwarded
 // requests and shadow appends; it is intentionally held across the
 // forward round-trip — that per-session serialization is what keeps the

@@ -51,7 +51,7 @@ func (p *Plane) handleTopology(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, p.Topology())
 }
 
-// handleCreate places a new session: the plane allocates the ID, the ring
+// handleCreate places a new session: the plane allocates the ID, ownerFor
 // picks the owner, and the create is forwarded with the ID pinned. The
 // shadow journal opens on the header line the worker answers with, so the
 // plane never re-derives parameter defaults.

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/serve/ring"
 	"repro/internal/streamrisk"
 )
 
@@ -70,10 +69,11 @@ type route struct {
 	shadow *obs.SessionJournal
 }
 
-// Plane is the control plane: the worker registry, the consistent-hash
-// ring, and the session route table. Its streaming risk engine observes
-// every session's shadow journal, so the plane serves the same /v1/risk
-// surface as a worker — fleet-wide, across migrations and recoveries.
+// Plane is the control plane: the worker registry, which also decides
+// placement (see ownerFor), and the session route table. Its streaming
+// risk engine observes every session's shadow journal, so the plane
+// serves the same /v1/risk surface as a worker — fleet-wide, across
+// migrations and recoveries.
 type Plane struct {
 	cfg  Config
 	mux  *http.ServeMux
@@ -82,7 +82,6 @@ type Plane struct {
 	nextID atomic.Int64
 
 	mu      sync.Mutex
-	ring    *ring.Ring
 	workers map[string]*worker
 	routes  map[string]*route
 }
@@ -94,7 +93,6 @@ func New(cfg Config) *Plane {
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
 		risk:    streamrisk.NewEngine(streamrisk.Config{Window: cfg.RiskWindow, MaxSubscribers: cfg.MaxRiskSubscribers}),
-		ring:    ring.New(),
 		workers: make(map[string]*worker),
 		routes:  make(map[string]*route),
 	}
@@ -153,9 +151,9 @@ func (p *Plane) do(method, url string, body []byte) (reply, error) {
 	}, nil
 }
 
-// Register adds (or revives) a worker and reconciles. The consistent-hash
-// ring keeps that minimal: besides sessions a dead worker or a failed
-// placement left off their owner, only sessions the joiner now owns move.
+// Register adds (or revives) a worker and reconciles. Rendezvous placement
+// keeps that minimal: besides sessions a dead worker or a failed placement
+// left off their owner, only sessions the joiner now owns move.
 func (p *Plane) Register(name, url string) error {
 	if name == "" || url == "" {
 		return fmt.Errorf("control: worker registration needs a name and a URL")
@@ -170,7 +168,6 @@ func (p *Plane) Register(name, url string) error {
 	// a moved URL). A restarted worker comes back empty; sessions still
 	// routed to it are rebuilt from shadows by per-request recovery.
 	w.url, w.healthy, w.draining, w.failures = url, true, false, 0
-	p.syncRing(name)
 	p.mu.Unlock()
 	workersRegistered.Add(1)
 	p.reconcile()
@@ -185,12 +182,11 @@ func (p *Plane) Deregister(name string) error {
 	p.reconcile()
 	p.mu.Lock()
 	delete(p.workers, name)
-	p.syncRing(name)
 	p.mu.Unlock()
 	return nil
 }
 
-// DrainWorker takes a worker out of the ring, tells it to refuse new
+// DrainWorker takes a worker out of placement, tells it to refuse new
 // sessions, and moves its sessions to the remaining workers. The worker
 // stays registered (and draining) until deregistered.
 func (p *Plane) DrainWorker(name string) error {
@@ -205,9 +201,9 @@ func (p *Plane) DrainWorker(name string) error {
 	return nil
 }
 
-// leave marks a registered worker draining, which takes it out of the
-// ring. It stays registered, so the moves that follow release its copies
-// while the plane considers it healthy. It returns the worker's URL.
+// leave marks a registered worker draining, which takes it out of
+// placement. It stays registered, so the moves that follow release its
+// copies while the plane considers it healthy. It returns the worker's URL.
 func (p *Plane) leave(name string) (string, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -216,22 +212,7 @@ func (p *Plane) leave(name string) (string, error) {
 		return "", fmt.Errorf("control: unknown worker %q", name)
 	}
 	w.draining = true
-	p.syncRing(name)
 	return w.url, nil
-}
-
-// syncRing makes the named worker a ring member exactly when it is
-// registered, healthy and not draining: ring membership is a function of
-// worker state, and this is the one place that changes it. Caller holds
-// p.mu and has just changed that state.
-func (p *Plane) syncRing(name string) {
-	w := p.workers[name]
-	switch member := w != nil && w.healthy && !w.draining; {
-	case member && !p.ring.Has(name):
-		p.ring.Add(name) //lint:allow errignore — Register refuses an empty name, and Has was just checked under the same lock
-	case !member && p.ring.Has(name):
-		p.ring.Remove(name) //lint:allow errignore — Has was just checked under the same lock
-	}
 }
 
 // snapshotRoutes returns the current route set in session-ID order
@@ -251,16 +232,49 @@ func (p *Plane) snapshotRoutes() []*route {
 	return routes
 }
 
-// ownerFor answers which worker the ring assigns a session to, or "" when
-// no worker is available.
+// ownerFor names the worker that owns a session, or "" when no worker is
+// eligible. Of the workers that are healthy and not draining, the owner is
+// the one with the highest rendezvous score for the ID, the smaller name
+// on a tie. Ownership is a pure function of the eligible set, so a join
+// moves only the sessions the joiner now wins, and a leave only the
+// leaver's.
 func (p *Plane) ownerFor(id string) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	owner, ok := p.ring.Owner(id)
-	if !ok {
-		return ""
+	owner, best := "", uint64(0)
+	for name, w := range p.workers {
+		if !w.healthy || w.draining {
+			continue
+		}
+		if s := score(name, id); owner == "" || s > best || s == best && name < owner {
+			owner, best = name, s
+		}
 	}
 	return owner
+}
+
+// score is a session's rendezvous score on a worker: the 64-bit FNV-1a
+// hash of the worker name, a 0 byte and the session ID, passed through the
+// splitmix64 finalizer. Raw FNV-1a of short, similar strings ("w-1",
+// "s-2") varies mostly in its low bits; the finalizer's avalanche spreads
+// the scores uniformly. Computed in-package, so placement is the same
+// across processes, architectures and Go versions (a golden test pins it).
+func score(worker, id string) uint64 {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(worker); i++ {
+		h = (h ^ uint64(worker[i])) * prime64
+	}
+	h *= prime64 // the 0 byte: xor with 0 leaves h as it is
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * prime64
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // workerURL resolves a worker name to its base URL ("" when no such
@@ -275,8 +289,8 @@ func (p *Plane) workerURL(name string) (url string, healthy bool) {
 	return "", false
 }
 
-// markDead records a worker as unhealthy, which takes it out of the ring
-// so no new placements land on it. It does not reconcile: forward calls it
+// markDead records a worker as unhealthy, which takes it out of placement
+// so no new session lands on it. It does not reconcile: forward calls it
 // holding a route's mutex, and reconcile takes every route's.
 func (p *Plane) markDead(name string) {
 	p.mu.Lock()
@@ -284,10 +298,9 @@ func (p *Plane) markDead(name string) {
 	if w, ok := p.workers[name]; ok {
 		w.healthy = false
 	}
-	p.syncRing(name)
 }
 
-// reconcile puts every route on its ring owner, in session-ID order. It
+// reconcile puts every route on its owner, in session-ID order. It
 // runs after every membership change. A placement that fails leaves its
 // route where it was, for the next reconcile or the session's next
 // request to retry.
@@ -335,7 +348,7 @@ func (p *Plane) place(r *route, dst string) error {
 }
 
 // forward proxies one session-scoped request to the session's current
-// worker, placing the session on its ring owner (and retrying once) if the
+// worker, placing the session on its owner (and retrying once) if the
 // worker does not answer — it is then declared dead — or answers 404,
 // having lost the session. When the retry cannot be made it writes the
 // 503 itself and reports false. Caller holds rt.mu.
@@ -392,11 +405,12 @@ func (p *Plane) Topology() TopologyResponse {
 }
 
 // ProbeOnce polls every worker's health endpoint once. A worker failing
-// its cfg.ProbeFailures-th consecutive probe is declared dead: it leaves
-// the ring, and the reconcile that follows rebuilds every session routed
-// to it from its shadow journal on a new owner. A dead worker answering
-// again is NOT revived automatically — an empty restarted process answers
-// probes too; revival is re-registration, which reconciles deliberately.
+// its cfg.ProbeFailures-th consecutive probe is declared dead, even one
+// forward has already marked dead: it leaves placement, and the reconcile
+// that follows rebuilds every session routed to it from its shadow journal
+// on a new owner. A dead worker answering again is NOT revived
+// automatically — an empty restarted process answers probes too; revival
+// is re-registration, which reconciles deliberately.
 // Returns the names of workers declared dead by this probe, sorted.
 func (p *Plane) ProbeOnce() []string {
 	type target struct{ name, url string }
@@ -426,9 +440,8 @@ func (p *Plane) ProbeOnce() []string {
 			w.failures = 0
 		} else {
 			w.failures++
-			if w.failures >= p.cfg.ProbeFailures && w.healthy {
+			if w.failures == p.cfg.ProbeFailures {
 				w.healthy = false
-				p.syncRing(t.name)
 				dead = append(dead, t.name)
 			}
 		}

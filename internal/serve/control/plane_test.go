@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/qos"
 	"repro/internal/serve"
-	"repro/internal/serve/ring"
 	"repro/internal/workload"
 )
 
@@ -185,7 +184,7 @@ func TestPlaneTransparencyAcrossFleet(t *testing.T) {
 		owners[ownerOf(t, p, id)] = true
 	}
 	if len(owners) < 2 {
-		t.Errorf("8 sessions all landed on %d worker(s); the ring is not spreading", len(owners))
+		t.Errorf("8 sessions all landed on %d worker(s); placement is not spreading", len(owners))
 	}
 	var top TopologyResponse
 	mustDo(t, h, http.MethodGet, "/control/v1/topology", nil, http.StatusOK, &top)
@@ -251,7 +250,7 @@ func TestPlaneCrashRecovery(t *testing.T) {
 }
 
 // A worker that restarts under its own name comes back empty, and the
-// ring still names it the session's owner, so no reconcile moves the
+// plane still names it the session's owner, so no reconcile moves the
 // session: the next request reaches a worker that answers 404. The plane
 // rebuilds the session there from its shadow journal, retries, and keeps
 // the worker healthy; the run stays byte-identical to an uninterrupted one.
@@ -373,6 +372,42 @@ func TestPlaneProberRecoversSessions(t *testing.T) {
 	}
 }
 
+// A worker that forward has already marked dead is still declared by the
+// probe that counts its cfg.ProbeFailures-th consecutive failure, and the
+// reconcile that follows moves every session left on it, not only the one
+// whose request found it gone.
+func TestPlaneProberDeclaresWorkerForwardMarkedDead(t *testing.T) {
+	p, workers := newFleet(t, 3)
+	h := p.Handler()
+	ids := make([]string, 9)
+	var onW1 []string
+	for i := range ids {
+		ids[i] = createSession(t, p, serve.CreateSessionRequest{Policy: "Libra", Model: "commodity"})
+		if ownerOf(t, p, ids[i]) == "w-1" {
+			onW1 = append(onW1, ids[i])
+		}
+	}
+	if len(onW1) < 2 {
+		t.Fatalf("w-1 owns %v; the test needs two sessions there", onW1)
+	}
+	workers[0].Close()
+	mustDo(t, h, http.MethodGet, "/v1/sessions/"+onW1[0]+"/report", nil, http.StatusOK, nil)
+
+	var dead []string
+	for i := 0; i < p.cfg.ProbeFailures; i++ {
+		dead = p.ProbeOnce()
+	}
+	if len(dead) != 1 || dead[0] != "w-1" {
+		t.Errorf("probe %d declared %v dead, want [w-1]", p.cfg.ProbeFailures, dead)
+	}
+	for _, id := range ids {
+		if owner := ownerOf(t, p, id); owner == "w-1" {
+			t.Errorf("session %s still routed to w-1 after the prober's failures", id)
+		}
+		mustDo(t, h, http.MethodGet, "/v1/sessions/"+id+"/report", nil, http.StatusOK, nil)
+	}
+}
+
 // Draining moves every session off the worker via release/import and the
 // drained worker refuses new placements; deregistering removes it from
 // the topology entirely.
@@ -421,7 +456,7 @@ func TestPlaneDrainAndDeregister(t *testing.T) {
 	}
 }
 
-// A worker joining the fleet takes over only the sessions the ring hands
+// A worker joining the fleet takes over only the sessions placement hands
 // it (minimal movement), transparently to clients.
 func TestPlaneJoinRebalances(t *testing.T) {
 	p, _ := newFleet(t, 2)
@@ -554,7 +589,7 @@ func TestPlaneFailedMoveKeepsSession(t *testing.T) {
 		}
 	}
 	if id == "" {
-		t.Fatal("the ring placed no session on w-1")
+		t.Fatal("placement put no session on w-1")
 	}
 	for _, j := range jobs[:10] {
 		mustDo(t, h, http.MethodPost, "/v1/sessions/"+id+"/jobs", submitReq(j), http.StatusOK, nil)
@@ -579,8 +614,8 @@ func TestPlaneFailedMoveKeepsSession(t *testing.T) {
 
 // A failed placement is retried by the next reconcile, whichever
 // membership change runs it. w-2 refuses imports while a drain empties
-// w-1, so the sessions the ring hands w-2 stay on w-1. Once w-2 accepts
-// again, draining w-3 leaves w-2 the only ring member, and every session
+// w-1, so the sessions placement hands w-2 stay on w-1. Once w-2 accepts
+// again, draining w-3 leaves w-2 the only eligible worker, and every session
 // moves there, the ones the first drain left on w-1 included, and
 // finishes with the bytes of an uninterrupted run.
 func TestPlaneReconcileRetriesFailedMove(t *testing.T) {
@@ -620,7 +655,7 @@ func TestPlaneReconcileRetriesFailedMove(t *testing.T) {
 	}
 	for _, id := range ids {
 		if owner := ownerOf(t, p, id); owner != "w-2" {
-			t.Errorf("session %s routed to %s after w-3's drain, want w-2, the only ring member", id, owner)
+			t.Errorf("session %s routed to %s after w-3's drain, want w-2, the only eligible worker", id, owner)
 		}
 	}
 	for _, id := range ids {
@@ -661,7 +696,7 @@ func (c *countingTransport) take() []string {
 // The worker round trips behind each plane operation: the create, each
 // submit and the finalize are one request apiece to the session's owner
 // (the worker answers with the journal line the shadow keeps), and a move
-// off a healthy worker is two, an import on the ring owner, then a release
+// off a healthy worker is two, an import on the owner, then a release
 // on the source (the shadow is what gets imported). A session routed to a
 // dead worker is placed with the import alone: neither a forward's
 // recovery nor a join's reconcile sends the dead worker anything.
@@ -686,20 +721,11 @@ func TestPlaneWorkerRequestCounts(t *testing.T) {
 			t.Errorf("%s: worker requests %q, want %q", op, got, want)
 		}
 	}
-	// owners maps each session to its owner on a ring of the given members.
+	// owners maps each session to its owner on a plane whose only workers
+	// are the given members.
 	owners := func(ids []string, members ...string) map[string]string {
 		t.Helper()
-		r := ring.New()
-		for _, m := range members {
-			if err := r.Add(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		m := make(map[string]string)
-		for _, id := range ids {
-			m[id], _ = r.Owner(id)
-		}
-		return m
+		return ownersOf(placementPlane(t, members...), ids)
 	}
 	jobs := testTrace(t, 3, 17)
 	ids := make([]string, 6) // s-1..s-6: creation order is session-ID order
@@ -728,7 +754,7 @@ func TestPlaneWorkerRequestCounts(t *testing.T) {
 	}
 	expect("drain", want...)
 
-	// A join moves to the joiner the sessions the ring now hands it.
+	// A join moves to the joiner the sessions it now owns.
 	register("w-3")
 	owner := owners(ids, keeper, "w-3")
 	want = nil
@@ -783,7 +809,7 @@ func TestPlaneWorkerRequestCounts(t *testing.T) {
 	}
 	for _, id := range ids {
 		if got := ownerOf(t, p, id); got != owner[id] {
-			t.Errorf("session %s routed to %s after the join, want its ring owner %s", id, got, owner[id])
+			t.Errorf("session %s routed to %s after the join, want its owner %s", id, got, owner[id])
 		}
 	}
 }

@@ -86,10 +86,8 @@ func ScaleArrivals(jobs []*Job, factor float64) {
 	if factor < 0 {
 		panic(fmt.Sprintf("workload: negative arrival delay factor %v", factor))
 	}
-	base := jobs[0].Submit
 	prevOrig := jobs[0].Submit
 	prevNew := jobs[0].Submit
-	_ = base
 	for _, j := range jobs[1:] {
 		gap := j.Submit - prevOrig
 		prevOrig = j.Submit
